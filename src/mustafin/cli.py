@@ -46,10 +46,11 @@ def load_document(path: str) -> tuple[Configuration, dict]:
         raise ParseError('document needs keys "d" and "points"')
     d = doc["d"]
     raw_points = doc["points"]
-    if not isinstance(d, int) or not isinstance(raw_points, list):
+    # JSON true/false decode to bool, a subclass of int: test the exact type.
+    if type(d) is not int or not isinstance(raw_points, list):
         raise ParseError('"d" must be an integer and "points" a list of integer vectors')
     for vec in raw_points:
-        if not isinstance(vec, list) or not all(isinstance(c, int) for c in vec):
+        if not isinstance(vec, list) or not all(type(c) is int for c in vec):
             raise ParseError(f"point {vec!r} is not a list of integers")
     config = tropical.configuration(d, raw_points)
     echo = {"d": d, "points": [list(p.coords) for p in config.points]}
@@ -86,16 +87,18 @@ def classification_report(config: Configuration, echo: dict) -> dict:
                 "multidegrees": [list(m) for m in desc.multidegrees.sorted_tuples()],
             }
         )
+    # is_monomial_type is general position, checked against the secondary-count law.
+    monomial = fiber.is_monomial_type(config, descriptors)
     return {
         "config": echo,
-        "general_position": tropical.is_general_position(config),
-        "monomial_type": fiber.is_monomial_type(config, descriptors),
+        "general_position": monomial,
+        "monomial_type": monomial,
         "counts": {
             "total": counts.total,
             "primary": counts.primary,
             "secondary": counts.secondary,
         },
-        "hull": [list(p.coords) for p in hull.lattice_points(config)],
+        "hull": [list(desc.vertex.coords) for desc in descriptors],
         "vertices": vertices,
         "partition": [
             {"multidegree": list(m), "vertex": list(v.coords)}

@@ -5,6 +5,9 @@ generator: factor i survives exactly on the argmin set J_i of v_i - v, and
 its kernel is the complementary coordinate subspace. A hull point
 contributes an irreducible component iff the image of its joint rational
 map has full dimension d-1, which the multidegree engine decides exactly.
+
+Argmin sets are computed in one place, ``hull._argmin_sets``; the oracles,
+the acceptance suite and the benchmark keep independent copies on purpose.
 """
 
 from __future__ import annotations
@@ -14,14 +17,15 @@ from math import comb
 from typing import NamedTuple, Sequence
 
 from .errors import ContractError, DomainError, InvariantViolationError
-from .hull import contains, lattice_points
+from .hull import _argmin_sets, contains, lattice_points
 from .multidegree import (
     CoordinateSubspace,
     DIndexTable,
     MultidegreeSet,
-    admissible_tuples,
+    _tuples_with_sum,
     dimension_p,
     intersection_dims,
+    multidegree_set,
 )
 from .tropical import Configuration, TorusPoint, is_general_position, normalize
 
@@ -73,31 +77,32 @@ def reduction_profile(config: Configuration, v: TorusPoint) -> ReductionProfile:
     """Argmin sets and kernels of the reduced diagonal maps at hull point ``v``."""
     if not contains(config, v):
         raise DomainError(f"{v.coords} is not in the hull of the configuration")
-    argmins = []
-    kernels = []
-    for p in config.points:
-        diffs = [p[j] - v[j] for j in range(config.d)]
-        lo = min(diffs)
-        J = frozenset(j + 1 for j, value in enumerate(diffs) if value == lo)
-        argmins.append(J)
-        kernels.append(CoordinateSubspace(config.d, frozenset(range(1, config.d + 1)) - J))
-    return ReductionProfile(v, tuple(argmins), tuple(kernels))
+    return _profile(config, v)
+
+
+def _profile(config: Configuration, v: TorusPoint) -> ReductionProfile:
+    argmins = _argmin_sets(config, v)
+    full = frozenset(range(1, config.d + 1))
+    kernels = tuple(CoordinateSubspace(config.d, full - J) for J in argmins)
+    return ReductionProfile(v, argmins, kernels)
 
 
 def describe_vertex(config: Configuration, v: TorusPoint) -> ComponentDescriptor:
     """Full descriptor (profile, dimension, multidegrees) of one hull point."""
-    profile = reduction_profile(config, v)
+    return _descriptor(config, reduction_profile(config, v))
+
+
+def _descriptor(config: Configuration, profile: ReductionProfile) -> ComponentDescriptor:
     table = intersection_dims(profile.kernels)
-    p = dimension_p(config.d, table)
-    mset = MultidegreeSet(p, frozenset(admissible_tuples(config.d, table, p)))
+    mset = multidegree_set(config.d, table)
     return ComponentDescriptor(
-        vertex=v,
+        vertex=profile.vertex,
         profile=profile,
         table=table,
-        p=p,
+        p=mset.p,
         multidegrees=mset,
-        is_component=(p == config.d - 1),
-        is_primary=(v in config.points),
+        is_component=(mset.p == config.d - 1),
+        is_primary=(profile.vertex in config.points),
         factor_dims=tuple(len(J) - 1 for J in profile.argmins),
     )
 
@@ -106,9 +111,10 @@ def classify(config: Configuration) -> list[ComponentDescriptor]:
     """One descriptor per hull lattice point, in lexicographic vertex order.
 
     Descriptors with ``is_component`` set are exactly the irreducible
-    components of the special fiber.
+    components of the special fiber. The enumerated points are not tested
+    for membership again.
     """
-    return [describe_vertex(config, v) for v in lattice_points(config)]
+    return [_descriptor(config, _profile(config, v)) for v in lattice_points(config)]
 
 
 def multidegree_partition(
@@ -132,7 +138,7 @@ def multidegree_partition(
                     f"multidegree {m} claimed by both {claims[m].coords} and {desc.vertex.coords}"
                 )
             claims[m] = desc.vertex
-    expected = set(_compositions(config.d - 1, config.n))
+    expected = set(_tuples_with_sum([config.d - 1] * config.n, config.d - 1))
     missing = expected - set(claims)
     extra = set(claims) - expected
     if missing or extra:
@@ -140,15 +146,6 @@ def multidegree_partition(
             f"multidegree partition is not total: missing {sorted(missing)}, extra {sorted(extra)}"
         )
     return claims
-
-
-def _compositions(total: int, n: int) -> list[tuple[int, ...]]:
-    if n == 1:
-        return [(total,)]
-    out = []
-    for v in range(total + 1):
-        out.extend((v,) + rest for rest in _compositions(total - v, n - 1))
-    return out
 
 
 def component_counts(

@@ -88,15 +88,21 @@ def lattice_points(config: Configuration) -> HullLatticeSet:
     return HullLatticeSet(config, frozenset(members))
 
 
+def _argmin_sets(config: Configuration, x: TorusPoint) -> tuple[frozenset[int], ...]:
+    """Argmin set of v_i - x (1-based coordinates) per generator; ``x`` must be a hull point."""
+    sets = []
+    for p in config.points:
+        diffs = [a - b for a, b in zip(p.coords, x.coords)]
+        lo = min(diffs)
+        sets.append(frozenset(j for j, value in enumerate(diffs, 1) if value == lo))
+    return tuple(sets)
+
+
 def skeleton_signature(config: Configuration, x: TorusPoint) -> SkeletonSignature:
     """Skeleton codimensions of a hull point (argmin multiplicities minus one)."""
     if not contains(config, x):
         raise DomainError(f"{x.coords} is not in the hull of the configuration")
-    codims = []
-    for p in config.points:
-        diffs = [p[j] - x[j] for j in range(config.d)]
-        codims.append(diffs.count(min(diffs)) - 1)
-    return SkeletonSignature(x, tuple(codims))
+    return SkeletonSignature(x, tuple(len(J) - 1 for J in _argmin_sets(config, x)))
 
 
 def locate_by_multidegree(config: Configuration, m: Sequence[int]) -> set[TorusPoint]:
@@ -115,7 +121,6 @@ def locate_by_multidegree(config: Configuration, m: Sequence[int]) -> set[TorusP
         raise ContractError(f"multidegree entries must sum to d-1={config.d - 1}: {m}")
     hits = set()
     for point in lattice_points(config):
-        codims = skeleton_signature(config, point).codims
-        if all(c >= v for c, v in zip(codims, m)):
+        if all(len(J) - 1 >= v for J, v in zip(_argmin_sets(config, point), m)):
             hits.add(point)
     return hits

@@ -11,6 +11,7 @@ reproduces the minimal-path map or vanishes identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 from typing import Sequence
 
 from .apartment import is_adjacent
@@ -80,6 +81,11 @@ def build_graph(config: Configuration) -> LinkedGraph:
     return LinkedGraph(config.d, tuple(verts), edge_maps)
 
 
+def _compose(d: int, diagonals) -> tuple[int, ...]:
+    """Entrywise product of diagonals; the all-ones diagonal when there are none."""
+    return tuple(prod(column) for column in zip((1,) * d, *diagonals))
+
+
 def path_map(graph: LinkedGraph, path: Sequence[TorusPoint]):
     """Entrywise product of edge diagonals along ``path``; ZERO if it vanishes.
 
@@ -90,10 +96,7 @@ def path_map(graph: LinkedGraph, path: Sequence[TorusPoint]):
     for vertex in path:
         if vertex not in graph.vertices:
             raise ContractError(f"{vertex.coords} is not a vertex of the graph")
-    product = (1,) * graph.d
-    for u, v in zip(path, path[1:]):
-        diag = graph.diagonal(u, v)
-        product = tuple(a * b for a, b in zip(product, diag))
+    product = _compose(graph.d, (graph.diagonal(u, v) for u, v in zip(path, path[1:])))
     if not any(product):
         return ZERO
     return product
@@ -189,12 +192,8 @@ def simple_root_maps(config: Configuration, root: TorusPoint) -> list[tuple[int,
         raise DomainError(f"{root.coords} is not in the hull of the configuration")
     maps = []
     for generator in config.points:
-        product = (1,) * config.d
         path = segment_lattice_path(root, generator)
-        for u, v in zip(path, path[1:]):
-            diag = step_diagonal(u, v)
-            product = tuple(a * b for a, b in zip(product, diag))
-        maps.append(product)
+        maps.append(_compose(config.d, (step_diagonal(u, v) for u, v in zip(path, path[1:]))))
     return maps
 
 

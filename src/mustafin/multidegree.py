@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, prod
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ContractError, UndefinedMapError
 
@@ -121,28 +121,27 @@ def _tuples_with_sum(caps: Sequence[int], total: int) -> Iterable[tuple[int, ...
         yield from rec(0, total, ())
 
 
-def admissible_tuples(d: int, table: DIndexTable, h: int) -> set[tuple[int, ...]]:
-    """The set M(h): tuples m >= 0 with sum h and d - sum_{i in I} m_i > d_I for all I."""
-    if h < 0:
-        raise ContractError(f"total degree must be nonnegative, got {h}")
+def _admissible(d: int, table: DIndexTable, h: int) -> Iterator[tuple[int, ...]]:
+    """Yield the tuples of M(h) one at a time, so a caller can stop at the first."""
     n = table.n
     caps = [d - 1 - table.by_mask[1 << i] for i in range(n)]
-    if any(c < 0 for c in caps):
-        return set()
-    result = set()
     for m in _tuples_with_sum(caps, h):
         # sums[mask] = sum of m_i over the bits of mask, built by peeling the low bit
         sums = [0] * (1 << n)
-        ok = True
         for mask in range(1, 1 << n):
             low = (mask & -mask).bit_length() - 1
             sums[mask] = sums[mask & (mask - 1)] + m[low]
             if d - sums[mask] <= table.by_mask[mask]:
-                ok = False
                 break
-        if ok:
-            result.add(m)
-    return result
+        else:
+            yield m
+
+
+def admissible_tuples(d: int, table: DIndexTable, h: int) -> set[tuple[int, ...]]:
+    """The set M(h): tuples m >= 0 with sum h and d - sum_{i in I} m_i > d_I for all I."""
+    if h < 0:
+        raise ContractError(f"total degree must be nonnegative, got {h}")
+    return set(_admissible(d, table, h))
 
 
 def dimension_p(d: int, table: DIndexTable) -> int:
@@ -151,13 +150,13 @@ def dimension_p(d: int, table: DIndexTable) -> int:
     Emptiness is monotone in h (dropping a unit from an admissible tuple
     keeps it admissible), so an upward scan stops at the first empty level.
     """
-    if not admissible_tuples(d, table, 0):
-        raise UndefinedMapError("M(0) is empty: some kernel is the full ambient space")
-    p = 0
-    for h in range(1, table.n * (d - 1) + 1):
-        if not admissible_tuples(d, table, h):
+    p = -1
+    for h in range(table.n * (d - 1) + 1):
+        if next(_admissible(d, table, h), None) is None:
             break
         p = h
+    if p < 0:
+        raise UndefinedMapError("M(0) is empty: some kernel is the full ambient space")
     return p
 
 

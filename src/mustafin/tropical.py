@@ -136,11 +136,6 @@ def tropical_determinant(matrix: Sequence[Sequence[int]]) -> tuple[int, int]:
     return best, count
 
 
-def is_tropically_singular(matrix: Sequence[Sequence[int]]) -> bool:
-    """True iff the minimum in the tropical determinant is attained at least twice."""
-    return tropical_determinant(matrix)[1] >= 2
-
-
 def singular_square_minor(
     config: Configuration,
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -155,7 +150,7 @@ def singular_square_minor(
         for rows in combinations(range(config.n), r):
             for cols in combinations(range(config.d), r):
                 minor = [[config.points[i][j] for j in cols] for i in rows]
-                if is_tropically_singular(minor):
+                if tropical_determinant(minor)[1] >= 2:
                     return rows, cols
     return None
 

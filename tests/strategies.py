@@ -42,6 +42,13 @@ def point_pairs(draw, min_d=2, max_d=5):
     return x, y
 
 
+def compositions(total, n):
+    """Every tuple of n nonnegative integers with the given total."""
+    if n == 1:
+        return [(total,)]
+    return [(v,) + rest for v in range(total + 1) for rest in compositions(total - v, n - 1)]
+
+
 def overlap_clusters(sets):
     """Number of connected clusters of ``sets`` under pairwise overlap."""
     parent = list(range(len(sets)))

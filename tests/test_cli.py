@@ -178,3 +178,17 @@ class TestErrorHandling:
         path.write_text(json.dumps({"d": 3, "points": [[0, 0.5, 1]]}))
         code, _, _ = run(capsys, ["classify", str(path)])
         assert code == 2
+
+    def test_boolean_coordinates_are_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "bool_point.json"
+        path.write_text(json.dumps({"d": 3, "points": [[True, 0, 1], [0, 2, 2]]}))
+        code, out, err = run(capsys, ["hull", str(path)])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["code"] == "parse"
+
+    def test_boolean_dimension_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "bool_d.json"
+        path.write_text(json.dumps({"d": True, "points": [[0, 1], [0, 2]]}))
+        code, out, err = run(capsys, ["hull", str(path)])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["code"] == "parse"

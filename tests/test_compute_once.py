@@ -1,0 +1,82 @@
+"""Each value is computed once per call.
+
+Points that ``lattice_points`` has just enumerated are not tested for hull
+membership again, and a CLI classification report enumerates the hull and
+tests general position once. The counts come from wrapping the functions
+at every ``mustafin`` module attribute that holds them.
+"""
+
+import sys
+from random import Random
+
+import mustafin.cli as cli
+import mustafin.fiber as fiber
+import mustafin.hull as hull
+import mustafin.tropical as tropical
+from mustafin.sampling import random_configuration
+
+CONFIG = random_configuration(Random(1), 4, 4, -6, 6)
+
+
+def patch_everywhere(monkeypatch, original, replacement):
+    for name, module in list(sys.modules.items()):
+        if name == "mustafin" or name.startswith("mustafin."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def record_calls(monkeypatch, func):
+    log = []
+
+    def wrapper(*args, **kwargs):
+        log.append(args)
+        return func(*args, **kwargs)
+
+    patch_everywhere(monkeypatch, func, wrapper)
+    return log
+
+
+def membership_tests_outside_scan(monkeypatch):
+    """Log of the points passed to ``contains`` anywhere but inside ``lattice_points``."""
+    contains, lattice_points = hull.contains, hull.lattice_points
+    depth = [0]
+    log = []
+
+    def counted(config, x):
+        if not depth[0]:
+            log.append(x)
+        return contains(config, x)
+
+    def scan(config):
+        depth[0] += 1
+        try:
+            return lattice_points(config)
+        finally:
+            depth[0] -= 1
+
+    patch_everywhere(monkeypatch, contains, counted)
+    patch_everywhere(monkeypatch, lattice_points, scan)
+    return log
+
+
+def test_classify_tests_no_enumerated_point_again(monkeypatch):
+    log = membership_tests_outside_scan(monkeypatch)
+    descriptors = fiber.classify(CONFIG)
+    assert len(descriptors) == len(hull.lattice_points(CONFIG))
+    assert log == []
+
+
+def test_locate_by_multidegree_tests_membership_only_in_the_scan(monkeypatch):
+    log = membership_tests_outside_scan(monkeypatch)
+    for m in ((3, 0, 0, 0), (1, 1, 1, 0), (0, 1, 0, 2)):
+        hull.locate_by_multidegree(CONFIG, m)
+    assert log == []
+
+
+def test_classification_report_enumerates_and_tests_position_once(monkeypatch):
+    enumerations = record_calls(monkeypatch, hull.lattice_points)
+    position_tests = record_calls(monkeypatch, tropical.is_general_position)
+    cli.classification_report(CONFIG, {"d": CONFIG.d})
+    assert len(enumerations) == 1
+    assert len(position_tests) == 1

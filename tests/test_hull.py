@@ -17,7 +17,7 @@ from mustafin.errors import ContractError, DimensionError, DomainError
 from mustafin.hull import residuation_projection
 from mustafin.oracles import brute_force_hull, skeleton_scan
 
-from strategies import configurations
+from strategies import compositions, configurations
 
 SIX_HULL_POINTS = {
     (0, -1, -2), (0, -1, -3), (0, -1, -4), (0, -2, -4), (0, -2, -5), (0, -3, -6),
@@ -109,7 +109,7 @@ class TestLocateByMultidegree:
 
     def test_agrees_with_brute_force_scan(self, collinear_triple, degenerate_pair):
         for cfg in (collinear_triple, degenerate_pair):
-            for m in _compositions(cfg.d - 1, cfg.n):
+            for m in compositions(cfg.d - 1, cfg.n):
                 assert locate_by_multidegree(cfg, m) == skeleton_scan(cfg, m)
 
     @given(configurations(min_d=3, max_d=3, min_n=2, max_n=3, lo=-3, hi=3))
@@ -118,19 +118,13 @@ class TestLocateByMultidegree:
         if not is_general_position(cfg):
             return
         seen = set()
-        for m in _compositions(cfg.d - 1, cfg.n):
+        for m in compositions(cfg.d - 1, cfg.n):
             hits = locate_by_multidegree(cfg, m)
             assert len(hits) == 1, (m, hits)
             point = next(iter(hits))
             assert skeleton_signature(cfg, point).codims == m
             seen.add(point)
-        assert len(seen) == len(_compositions(cfg.d - 1, cfg.n))
-
-
-def _compositions(total, n):
-    if n == 1:
-        return [(total,)]
-    return [(v,) + rest for v in range(total + 1) for rest in _compositions(total - v, n - 1)]
+        assert len(seen) == len(compositions(cfg.d - 1, cfg.n))
 
 
 class TestSegmentHullInteraction:

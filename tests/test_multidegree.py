@@ -1,7 +1,10 @@
+from itertools import combinations
 from math import comb
 from random import Random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from mustafin import (
     MultidegreeSet,
@@ -13,6 +16,8 @@ from mustafin import (
     subspace,
 )
 from mustafin.errors import ContractError, UndefinedMapError
+
+from strategies import compositions
 
 
 def table_for(d, member_sets):
@@ -115,6 +120,51 @@ class TestDimensionP:
         assert mset.p == 2 and mset.tuples == {(1, 1), (0, 2)}
 
 
+@st.composite
+def kernel_member_sets(draw):
+    d = draw(st.integers(min_value=2, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=4))
+    kernels = st.frozensets(st.integers(min_value=1, max_value=d))
+    return d, draw(st.lists(kernels, min_size=n, max_size=n))
+
+
+def exhaustive_levels(d, member_sets):
+    """M(0), ..., M(d) from the definition, with d_I counted from the member sets.
+
+    Every composition of each h is tested on every nonempty I. Levels
+    above d - 1 are empty: on the full index set, d - h > d_I >= 0.
+    """
+    n = len(member_sets)
+    subsets = [I for k in range(1, n + 1) for I in combinations(range(n), k)]
+    d_of = {I: len(frozenset.intersection(*(member_sets[i] for i in I))) for I in subsets}
+    return [
+        {m for m in compositions(h, n) if all(d - sum(m[i] for i in I) > d_of[I] for I in subsets)}
+        for h in range(d + 1)
+    ]
+
+
+class TestLevelScan:
+    @given(kernel_member_sets())
+    @example((3, [frozenset({1, 2, 3}), frozenset()]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_exhaustive_levels(self, case):
+        d, member_sets = case
+        table = table_for(d, member_sets)
+        levels = exhaustive_levels(d, member_sets)
+        nonempty = [h for h, level in enumerate(levels) if level]
+        if not nonempty:
+            assert any(len(members) == d for members in member_sets)
+            with pytest.raises(UndefinedMapError):
+                dimension_p(d, table)
+            with pytest.raises(UndefinedMapError):
+                multidegree_set(d, table)
+            return
+        p = max(nonempty)
+        assert dimension_p(d, table) == p
+        mset = multidegree_set(d, table)
+        assert (mset.p, mset.tuples) == (p, levels[p])
+
+
 class TestHilbertFunction:
     def test_single_factor_projective_space(self):
         for d in (2, 3, 4):
@@ -131,7 +181,7 @@ class TestHilbertFunction:
             while not tuples:
                 tuples = {
                     t
-                    for t in _compositions(p, n)
+                    for t in compositions(p, n)
                     if rng.random() < 0.5
                 }
             mset = MultidegreeSet(p, frozenset(tuples))
@@ -159,7 +209,7 @@ class TestHilbertFunction:
         for _ in range(25):
             n = rng.randint(1, 3)
             p = rng.randint(1, 3)
-            tuples = {t for t in _compositions(p, n) if rng.random() < 0.6}
+            tuples = {t for t in compositions(p, n) if rng.random() < 0.6}
             if not tuples:
                 continue
             mset = MultidegreeSet(p, frozenset(tuples))
@@ -174,12 +224,6 @@ class TestHilbertFunction:
             hilbert_function(mset, (0,))
         with pytest.raises(ContractError):
             hilbert_function(mset, (-1, 0))
-
-
-def _compositions(total, n):
-    if n == 1:
-        return [(total,)]
-    return [(v,) + rest for v in range(total + 1) for rest in _compositions(total - v, n - 1)]
 
 
 def _grid(n, top):
