@@ -243,7 +243,8 @@ def cmd_verify(args) -> int:
     rng = Random(args.seed)
     checks = []
 
-    members = hull.lattice_points(config).points
+    descriptors = fiber.classify(config)
+    members = frozenset(desc.vertex for desc in descriptors)
     brute = oracles.brute_force_hull(config)
     probes = oracles.all_box_points(config)
     failures = sum(1 for p in probes if hull.contains(config, p) != (p in brute))
@@ -264,18 +265,17 @@ def cmd_verify(args) -> int:
     )
 
     try:
-        fiber.multidegree_partition(config)
+        fiber.multidegree_partition(config, descriptors)
         checks.append({"name": "multidegree_partition_total", "cases": 1, "failures": 0})
     except InvariantViolationError:
         checks.append({"name": "multidegree_partition_total", "cases": 1, "failures": 1})
 
     root_failures = 0
-    for point in sorted(members):
-        profile = fiber.reduction_profile(config, point)
-        if tuple(linked.simple_root_maps(config, point)) != profile.diagonals():
+    for desc in descriptors:
+        if tuple(linked._root_maps(config, desc.vertex)) != desc.profile.diagonals():
             root_failures += 1
     checks.append(
-        {"name": "root_maps_vs_reduction_profile", "cases": len(members), "failures": root_failures}
+        {"name": "root_maps_vs_reduction_profile", "cases": len(descriptors), "failures": root_failures}
     )
 
     ok = all(c["failures"] == 0 for c in checks)

@@ -190,11 +190,12 @@ def simple_root_maps(config: Configuration, root: TorusPoint) -> list[tuple[int,
     """
     if not contains(config, root):
         raise DomainError(f"{root.coords} is not in the hull of the configuration")
-    maps = []
-    for generator in config.points:
-        path = segment_lattice_path(root, generator)
-        maps.append(_compose(config.d, (step_diagonal(u, v) for u, v in zip(path, path[1:]))))
-    return maps
+    return _root_maps(config, root)
+
+
+def _root_maps(config: Configuration, root: TorusPoint) -> list[tuple[int, ...]]:
+    paths = (segment_lattice_path(root, generator) for generator in config.points)
+    return [_compose(config.d, (step_diagonal(u, v) for u, v in zip(p, p[1:]))) for p in paths]
 
 
 def graph_to_dot(graph: LinkedGraph) -> str:

@@ -3,15 +3,17 @@
 Given coordinate subspaces W_1, ..., W_n of k^d with the map
 P(k^d) --> P(k^d/W_1) x ... x P(k^d/W_n), the image's dimension p, its
 multidegree tuples and its multigraded Hilbert function are determined by
-the table d_I = dim of the intersection of the W_i over I. Everything here
-is exact integer arithmetic.
+the table d_I = dim of the intersection of the W_i over I. The dimension
+is the count p = d - d_[n] - (number of overlap clusters of the factors),
+and the Hilbert function is a sum over the down-closure of M(p).
+Everything here is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ContractError, UndefinedMapError
 
@@ -92,17 +94,12 @@ def intersection_dims(kernels: Sequence[CoordinateSubspace]) -> DIndexTable:
         raise ContractError("subspaces have mismatched ambient dimensions")
     n = len(kernels)
     bits = [w.bitmask() for w in kernels]
-    full = (1 << d) - 1
-    by_mask = [d] * (1 << n)
+    # inter[mask] = intersection of the member sets over the bits of mask, built by peeling the low bit
+    inter = [(1 << d) - 1] * (1 << n)
     for mask in range(1, 1 << n):
-        inter = full
-        probe = mask
-        while probe:
-            i = (probe & -probe).bit_length() - 1
-            inter &= bits[i]
-            probe &= probe - 1
-        by_mask[mask] = inter.bit_count()
-    return DIndexTable(d, n, tuple(by_mask))
+        low = (mask & -mask).bit_length() - 1
+        inter[mask] = inter[mask & (mask - 1)] & bits[low]
+    return DIndexTable(d, n, tuple(members.bit_count() for members in inter))
 
 
 def _tuples_with_sum(caps: Sequence[int], total: int) -> Iterable[tuple[int, ...]]:
@@ -121,10 +118,13 @@ def _tuples_with_sum(caps: Sequence[int], total: int) -> Iterable[tuple[int, ...
         yield from rec(0, total, ())
 
 
-def _admissible(d: int, table: DIndexTable, h: int) -> Iterator[tuple[int, ...]]:
-    """Yield the tuples of M(h) one at a time, so a caller can stop at the first."""
+def admissible_tuples(d: int, table: DIndexTable, h: int) -> set[tuple[int, ...]]:
+    """The set M(h): tuples m >= 0 with sum h and d - sum_{i in I} m_i > d_I for all I."""
+    if h < 0:
+        raise ContractError(f"total degree must be nonnegative, got {h}")
     n = table.n
     caps = [d - 1 - table.by_mask[1 << i] for i in range(n)]
+    found = set()
     for m in _tuples_with_sum(caps, h):
         # sums[mask] = sum of m_i over the bits of mask, built by peeling the low bit
         sums = [0] * (1 << n)
@@ -134,30 +134,33 @@ def _admissible(d: int, table: DIndexTable, h: int) -> Iterator[tuple[int, ...]]
             if d - sums[mask] <= table.by_mask[mask]:
                 break
         else:
-            yield m
-
-
-def admissible_tuples(d: int, table: DIndexTable, h: int) -> set[tuple[int, ...]]:
-    """The set M(h): tuples m >= 0 with sum h and d - sum_{i in I} m_i > d_I for all I."""
-    if h < 0:
-        raise ContractError(f"total degree must be nonnegative, got {h}")
-    return set(_admissible(d, table, h))
+            found.add(m)
+    return found
 
 
 def dimension_p(d: int, table: DIndexTable) -> int:
     """Largest h with M(h) nonempty; the dimension of the image variety.
 
-    Emptiness is monotone in h (dropping a unit from an admissible tuple
-    keeps it admissible), so an upward scan stops at the first empty level.
+    Let J_i be the complement of kernel i, so m lies in M(h) iff
+    sum_{i in I} m_i <= |union_I J| - 1 for every I. Factors i and j
+    overlap iff |J_i & J_j| = d - d_i - d_j + d_ij > 0; with k clusters
+    under overlap, p = |union J| - k = d - d_[n] - k.
+    Upper bound: sum the inequality over each cluster C.
+    Attained: take a spanning tree of each cluster's union whose edges each
+    lie inside some J_i, and let m_i count the edges labelled i; for every
+    I the edges labelled in I form a forest on union_I J.
     """
-    p = -1
-    for h in range(table.n * (d - 1) + 1):
-        if next(_admissible(d, table, h), None) is None:
-            break
-        p = h
-    if p < 0:
+    n = table.n
+    single = [table.by_mask[1 << i] for i in range(n)]
+    if d in single:
         raise UndefinedMapError("M(0) is empty: some kernel is the full ambient space")
-    return p
+    cluster = list(range(n))
+    for j in range(n):
+        for i in range(j):
+            if d - single[i] - single[j] + table.by_mask[1 << i | 1 << j] > 0:
+                old, new = cluster[i], cluster[j]
+                cluster = [new if c == old else c for c in cluster]
+    return d - table.by_mask[-1] - len(set(cluster))
 
 
 def multidegree_set(d: int, table: DIndexTable) -> MultidegreeSet:
@@ -169,9 +172,11 @@ def multidegree_set(d: int, table: DIndexTable) -> MultidegreeSet:
 def hilbert_function(mset: MultidegreeSet, u: Sequence[int]) -> int:
     """Multigraded Hilbert function at u.
 
-    Inclusion-exclusion over the nonempty subsets S of the multidegree
-    tuples: sum of (-1)^(|S|-1) * prod_i binom(u_i + l_i, l_i), where l_i
-    is the smallest i-th entry over S. Exact big-integer arithmetic.
+    Sum over the down-closure of the multidegree tuples of
+    prod_i c(u_i, k_i), with c(u, 0) = 1 and c(u, k) = binom(u + k - 1, k).
+    Summing c over a box k <= l gives binom(u + l, l), so this is the
+    inclusion-exclusion over the boxes below the tuples, at a cost
+    polynomial in the size of the down-closure. Exact big-integer arithmetic.
     """
     tuples = mset.sorted_tuples()
     if not tuples:
@@ -183,20 +188,10 @@ def hilbert_function(mset: MultidegreeSet, u: Sequence[int]) -> int:
     if any(v < 0 for v in u):
         raise ContractError(f"grading variables must be nonnegative: {u}")
 
-    total = 0
-
-    def rec(idx: int, mins: tuple[int, ...] | None, size: int) -> None:
-        nonlocal total
-        if idx == len(tuples):
-            if size:
-                assert mins is not None
-                sign = 1 if size % 2 else -1
-                total += sign * prod(comb(u[i] + mins[i], mins[i]) for i in range(n))
-            return
-        rec(idx + 1, mins, size)
-        t = tuples[idx]
-        merged = t if mins is None else tuple(min(a, b) for a, b in zip(mins, t))
-        rec(idx + 1, merged, size + 1)
-
-    rec(0, None, 0)
-    return total
+    # after step i, down is closed under lowering coordinates 0..i
+    down = set(tuples)
+    for i in range(n):
+        down |= {k[:i] + (v,) + k[i + 1 :] for k in down for v in range(k[i])}
+    return sum(
+        prod(comb(u[i] + k[i] - 1, k[i]) if k[i] else 1 for i in range(n)) for k in down
+    )

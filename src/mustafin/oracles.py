@@ -8,10 +8,12 @@ suite and in ``verify`` compares two independent routes.
 from __future__ import annotations
 
 from itertools import product
+from math import comb, prod
 from typing import Sequence
 
 from .apartment import DiagonalLatticeClass, class_to_point, intersection_class, point_to_class
 from .hull import bounding_box
+from .multidegree import MultidegreeSet
 from .tropical import Configuration, TorusPoint, normalize, tropical_combination
 
 
@@ -122,3 +124,31 @@ def all_box_points(config: Configuration) -> list[TorusPoint]:
         normalize(candidate)
         for candidate in product(*(range(lo, hi + 1) for lo, hi in box))
     ]
+
+
+def hilbert_by_inclusion_exclusion(mset: MultidegreeSet, u: Sequence[int]) -> int:
+    """Multigraded Hilbert function at u by inclusion-exclusion over subsets of M.
+
+    Sum over the nonempty subsets S of the multidegree tuples of
+    (-1)^(|S|-1) * prod_i binom(u_i + l_i, l_i), where l_i is the smallest
+    i-th entry over S: 2^|M| terms.
+    """
+    tuples = mset.sorted_tuples()
+    n = len(u)
+    total = 0
+
+    def rec(idx: int, mins: tuple[int, ...] | None, size: int) -> None:
+        nonlocal total
+        if idx == len(tuples):
+            if size:
+                assert mins is not None
+                sign = 1 if size % 2 else -1
+                total += sign * prod(comb(u[i] + mins[i], mins[i]) for i in range(n))
+            return
+        rec(idx + 1, mins, size)
+        t = tuples[idx]
+        merged = t if mins is None else tuple(min(a, b) for a, b in zip(mins, t))
+        rec(idx + 1, merged, size + 1)
+
+    rec(0, None, 0)
+    return total

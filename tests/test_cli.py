@@ -6,6 +6,13 @@ from mustafin.cli import main
 
 TRIPLE = {"d": 3, "points": [[0, -1, -2], [0, -2, -4], [0, -3, -6]], "label": "chain"}
 PAIR = {"d": 3, "points": [[0, 0, 0], [0, 1, 1]]}
+TEN = {
+    "d": 4,
+    "points": [
+        [0, -1, -1, -1], [0, -1, -1, 1], [0, 1, -1, 0], [0, 1, 0, 1], [0, 1, 1, -1],
+        [0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, -1], [0, -1, 1, -1], [0, 0, 0, 0],
+    ],
+}
 
 
 @pytest.fixture
@@ -80,6 +87,14 @@ class TestHilbert:
         code, _, err = run(capsys, ["hilbert", pair_doc, "--vertex", "0,2,5", "--u", "0,0"])
         assert code == 3
         assert json.loads(err)["error"]["code"] == "domain"
+
+    def test_large_multidegree_set(self, capsys, tmp_path):
+        # |M(p)| = 69 at the origin; inclusion-exclusion over M(p) restricted to supp(u) gives 75
+        path = tmp_path / "ten.json"
+        path.write_text(json.dumps(TEN))
+        u = "1,0,2,1,0,0,1,0,0,3"
+        code, out, _ = run(capsys, ["hilbert", str(path), "--vertex", "0,0,0,0", "--u", u])
+        assert (code, out) == (0, "75\n")
 
     def test_unparsable_vertex(self, capsys, pair_doc):
         code, _, err = run(capsys, ["hilbert", pair_doc, "--vertex", "0,x,1", "--u", "0,0"])

@@ -1,17 +1,21 @@
 """Each value is computed once per call.
 
 Points that ``lattice_points`` has just enumerated are not tested for hull
-membership again, and a CLI classification report enumerates the hull and
-tests general position once. The counts come from wrapping the functions
+membership again, a CLI classification report enumerates the hull and
+tests general position once, and ``verify`` classifies once. The counts come from wrapping the functions
 at every ``mustafin`` module attribute that holds them.
 """
 
+import contextlib
+import io
 import sys
+from pathlib import Path
 from random import Random
 
 import mustafin.cli as cli
 import mustafin.fiber as fiber
 import mustafin.hull as hull
+import mustafin.oracles as oracles
 import mustafin.tropical as tropical
 from mustafin.sampling import random_configuration
 
@@ -80,3 +84,14 @@ def test_classification_report_enumerates_and_tests_position_once(monkeypatch):
     cli.classification_report(CONFIG, {"d": CONFIG.d})
     assert len(enumerations) == 1
     assert len(position_tests) == 1
+
+
+def test_verify_enumerates_once_and_tests_only_the_box(monkeypatch):
+    doc = Path(__file__).parent / "golden" / "random_generic.json"
+    config, _ = cli.load_document(str(doc))
+    membership_tests = membership_tests_outside_scan(monkeypatch)
+    enumerations = record_calls(monkeypatch, hull.lattice_points)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", str(doc)]) == 0
+    assert len(enumerations) == 1
+    assert len(membership_tests) == len(oracles.all_box_points(config)) == 294

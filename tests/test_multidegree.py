@@ -16,6 +16,7 @@ from mustafin import (
     subspace,
 )
 from mustafin.errors import ContractError, UndefinedMapError
+from mustafin.oracles import hilbert_by_inclusion_exclusion
 
 from strategies import compositions
 
@@ -111,6 +112,12 @@ class TestDimensionP:
     def test_hyperplane_kernel_collapses_to_point(self):
         assert dimension_p(4, table_for(4, [(2, 3, 4)])) == 0
 
+    def test_overlap_clusters_merge_transitively(self):
+        # argmin sets {1,2}, {2,3}, {3,4}: a chain of overlaps is one cluster
+        assert dimension_p(4, table_for(4, [(3, 4), (1, 4), (1, 2)])) == 3
+        # argmin sets {1,2}, {1}, {2}: factors 2 and 3 meet only through factor 1
+        assert dimension_p(4, table_for(4, [(3, 4), (2, 3, 4), (1, 3, 4)])) == 1
+
     def test_full_kernel_is_rejected(self):
         with pytest.raises(UndefinedMapError):
             dimension_p(3, table_for(3, [(1, 2, 3), ()]))
@@ -165,7 +172,22 @@ class TestLevelScan:
         assert (mset.p, mset.tuples) == (p, levels[p])
 
 
+@st.composite
+def multidegree_sets_and_gradings(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    p = draw(st.integers(min_value=0, max_value=4))
+    tuples = draw(st.sets(st.sampled_from(compositions(p, n)), min_size=1, max_size=10))
+    u = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=n, max_size=n))
+    return MultidegreeSet(p, frozenset(tuples)), tuple(u)
+
+
 class TestHilbertFunction:
+    @given(multidegree_sets_and_gradings())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_inclusion_exclusion_oracle(self, case):
+        mset, u = case
+        assert hilbert_function(mset, u) == hilbert_by_inclusion_exclusion(mset, u)
+
     def test_single_factor_projective_space(self):
         for d in (2, 3, 4):
             mset = MultidegreeSet(d - 1, frozenset({(d - 1, 0)}))
