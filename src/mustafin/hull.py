@@ -2,37 +2,38 @@
 
 Membership uses the residuation (nearest-point) projection, which is exact
 over the integers: pi(x) >= x coordinatewise, with equality everywhere iff
-x lies in the hull.
+x lies in the hull. Enumeration grows prefixes by fibres and never scans the box.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, field
+from operator import sub
 from typing import Iterator, Sequence
 
 from .errors import ContractError, DimensionError, DomainError
-from .tropical import Configuration, TorusPoint, normalize
+from .tropical import Configuration, TorusPoint
 
 
 @dataclass(frozen=True)
 class HullLatticeSet:
-    """All lattice points of tconv(config), i.e. the lattice classes of conv."""
+    """All lattice points of tconv(config), i.e. the lattice classes of conv, in lexicographic order."""
 
     config: Configuration
     points: frozenset[TorusPoint]
+    ordered: tuple[TorusPoint, ...] = field(compare=False, repr=False)
 
     def sorted_points(self) -> list[TorusPoint]:
-        return sorted(self.points)
+        return list(self.ordered)
 
     def __contains__(self, point: TorusPoint) -> bool:
         return point in self.points
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.ordered)
 
     def __iter__(self) -> Iterator[TorusPoint]:
-        return iter(self.sorted_points())
+        return iter(self.ordered)
 
 
 @dataclass(frozen=True)
@@ -64,28 +65,27 @@ def contains(config: Configuration, x: TorusPoint) -> bool:
     return residuation_projection(config, x) == x.coords
 
 
-def bounding_box(config: Configuration) -> list[tuple[int, int]]:
-    """Coordinatewise [min, max] over the normalized generators."""
-    return [
-        (min(p[j] for p in config.points), max(p[j] for p in config.points))
-        for j in range(config.d)
-    ]
-
-
 def lattice_points(config: Configuration) -> HullLatticeSet:
-    """Enumerate every lattice point of the hull.
+    """Enumerate every lattice point of the hull, in lexicographic order.
 
-    Normalized hull points lie in the coordinatewise bounding box of the
-    normalized generators, so a box scan with the membership test is
-    exhaustive.
+    Cutting coordinates is min-plus linear, so length-k prefixes y of hull points form the
+    hull of the cut generators. With Lam_i = max_{j<k}(y_j - g_ij), (y, t) has coefficients
+    max(Lam_i, t - g_ik), and pi(y, t) >= (y, t) is equal iff t >= lo = min_i(Lam_i + g_ik)
+    and each j < k keeps an i with Lam_i + g_ij = y_j and t <= Lam_i + g_ik, i.e. t <= hi =
+    min_{j<k} max{Lam_i + g_ik : Lam_i + g_ij = y_j}. (y, lo) = min_i(Lam_i + g_i) is a hull
+    point, so each fibre is all of [lo, hi]: cost sum_k |level k| * n * k plus the output.
     """
-    box = bounding_box(config)
-    members = set()
-    for candidate in product(*(range(lo, hi + 1) for lo, hi in box)):
-        point = normalize(candidate)
-        if contains(config, point):
-            members.add(point)
-    return HullLatticeSet(config, frozenset(members))
+    gens = [p.coords for p in config.points]
+    level: list[tuple[int, ...]] = [(0,)]
+    for k in range(1, config.d):
+        level, parents = [], level
+        for y in parents:
+            lams = [max(map(sub, y, g)) for g in gens]
+            ups = [lam + g[k] for lam, g in zip(lams, gens)]
+            highs = (max(u for lam, g, u in zip(lams, gens, ups) if lam + g[j] == y[j]) for j in range(k))
+            level.extend(y + (t,) for t in range(min(ups), min(highs) + 1))
+    ordered = tuple(map(TorusPoint, level))
+    return HullLatticeSet(config, frozenset(ordered), ordered)
 
 
 def _argmin_sets(config: Configuration, x: TorusPoint) -> tuple[frozenset[int], ...]:

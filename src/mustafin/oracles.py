@@ -12,9 +12,16 @@ from math import comb, prod
 from typing import Sequence
 
 from .apartment import DiagonalLatticeClass, class_to_point, intersection_class, point_to_class
-from .hull import bounding_box
 from .multidegree import MultidegreeSet
 from .tropical import Configuration, TorusPoint, normalize, tropical_combination
+
+
+def bounding_box(config: Configuration) -> list[tuple[int, int]]:
+    """Coordinatewise [min, max] over the normalized generators."""
+    return [
+        (min(p[j] for p in config.points), max(p[j] for p in config.points))
+        for j in range(config.d)
+    ]
 
 
 def coordinate_range(config: Configuration) -> int:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +74,22 @@ class TestHull:
         assert code == 0
         report = json.loads(out)
         assert report["hull"] == [[0, 0, 0], [0, 1, 1]]
+
+    def test_wide_pair_is_enumerated_without_the_box(self, tmp_path):
+        # The box of this pair holds about 10^10 points and its hull 200,001.
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"d": 3, "points": [[0, 0, 0], [0, 100000, -100000]]}))
+        paths = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        result = subprocess.run(
+            [sys.executable, "-m", "mustafin.cli", "hull", str(path)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        points = json.loads(result.stdout)["hull"]
+        assert len(points) == 200_001
+        assert [0, 0, 0] in points and [0, 100000, -100000] in points
+        assert points == sorted(points)
 
 
 class TestHilbert:

@@ -1,7 +1,7 @@
 """Each value is computed once per call.
 
-Points that ``lattice_points`` has just enumerated are not tested for hull
-membership again, a CLI classification report enumerates the hull and
+``lattice_points`` makes no membership test, points it has just enumerated
+are not tested for hull membership again, a CLI classification report enumerates the hull and
 tests general position once, and ``verify`` classifies once. The counts come from wrapping the functions
 at every ``mustafin`` module attribute that holds them.
 """
@@ -20,6 +20,7 @@ import mustafin.tropical as tropical
 from mustafin.sampling import random_configuration
 
 CONFIG = random_configuration(Random(1), 4, 4, -6, 6)
+WIDE_PAIR = tropical.configuration(3, [(0, 0, 0), (0, 100000, -100000)])
 
 
 def patch_everywhere(monkeypatch, original, replacement):
@@ -62,6 +63,13 @@ def membership_tests_outside_scan(monkeypatch):
     patch_everywhere(monkeypatch, contains, counted)
     patch_everywhere(monkeypatch, lattice_points, scan)
     return log
+
+
+def test_enumeration_makes_no_membership_test(monkeypatch):
+    membership_tests = record_calls(monkeypatch, hull.contains)
+    for config in (CONFIG, WIDE_PAIR):
+        hull.lattice_points(config)
+        assert membership_tests == []
 
 
 def test_classify_tests_no_enumerated_point_again(monkeypatch):

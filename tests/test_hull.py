@@ -71,6 +71,13 @@ class TestLatticePoints:
     def test_matches_brute_force_combinations(self, cfg):
         assert lattice_points(cfg).points == brute_force_hull(cfg)
 
+    @given(configurations(min_d=5, max_d=6, max_n=3, lo=-2, hi=2))
+    @settings(max_examples=40, deadline=None)
+    def test_high_dimension_matches_brute_force_in_order(self, cfg):
+        hull_set = lattice_points(cfg)
+        assert hull_set.points == brute_force_hull(cfg)
+        assert list(hull_set) == hull_set.sorted_points() == sorted(hull_set.points)
+
 
 class TestSkeletonSignature:
     def test_interior_vertex_signature(self, collinear_triple):
