@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from random import Random
 
 from . import fiber, hull, linked, oracles, tropical
 from .apartment import local_model_chain
@@ -240,7 +239,6 @@ def cmd_local_model(args) -> int:
 
 def cmd_verify(args) -> int:
     config, echo = load_document(args.path)
-    rng = Random(args.seed)
     checks = []
 
     descriptors = fiber.classify(config)
@@ -252,16 +250,14 @@ def cmd_verify(args) -> int:
         failures += 1
     checks.append({"name": "membership_vs_brute_force", "cases": len(probes), "failures": failures})
 
-    det_failures = 0
-    det_cases = 0
-    for _ in range(200):
-        r = rng.randint(1, 5)
-        matrix = [[rng.randint(-10, 10) for _ in range(r)] for _ in range(r)]
-        det_cases += 1
-        if tropical.tropical_determinant(matrix) != oracles.assignment_min_count(matrix):
-            det_failures += 1
+    det = tropical._minor_determinants([p.coords for p in config.points])
+    minors = list(tropical._square_minors(config.n, config.d))
+    det_failures = sum(
+        det(rs, cs) != oracles.assignment_min_count([[config.points[i][j] for j in cs] for i in rs])
+        for rs, cs in minors
+    )
     checks.append(
-        {"name": "determinant_vs_assignment_dp", "cases": det_cases, "failures": det_failures}
+        {"name": "minor_determinants_vs_permutation_scan", "cases": len(minors), "failures": det_failures}
     )
 
     try:
@@ -321,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="cross-check fast paths against brute-force oracles")
     p_verify.add_argument("path")
-    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

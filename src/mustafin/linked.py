@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
+from operator import add
 from typing import Sequence
 
 from .apartment import is_adjacent
@@ -70,15 +71,24 @@ def step_diagonal(u: TorusPoint, v: TorusPoint) -> tuple[int, ...]:
 
 
 def build_graph(config: Configuration) -> LinkedGraph:
-    """Linked graph on the hull lattice points of a configuration."""
-    verts = lattice_points(config).sorted_points()
+    """Linked graph on the hull lattice points of a configuration.
+
+    Modulo all-ones, adjacent classes differ by +e_S or -e_S for a nonempty S
+    of {2..d}, so every edge is u -> u + e_S from one end: each vertex looks up
+    2^(d-1) - 1 neighbours. The diagonal of u -> u + e_S is 1 off S, of u + e_S -> u on S.
+    """
+    hull = lattice_points(config)
+    by_coords = {u.coords: u for u in hull}
     edge_maps: dict[tuple[TorusPoint, TorusPoint], tuple[int, ...]] = {}
-    for a, u in enumerate(verts):
-        for v in verts[a + 1 :]:
-            if is_adjacent(u, v):
-                edge_maps[(u, v)] = step_diagonal(u, v)
-                edge_maps[(v, u)] = step_diagonal(v, u)
-    return LinkedGraph(config.d, tuple(verts), edge_maps)
+    for mask in range(2, 1 << config.d, 2):
+        step = tuple((mask >> j) & 1 for j in range(config.d))
+        complement = tuple(1 - b for b in step)
+        for u in hull:
+            v = by_coords.get(tuple(map(add, u.coords, step)))
+            if v is not None:
+                edge_maps[(u, v)] = complement
+                edge_maps[(v, u)] = step
+    return LinkedGraph(config.d, hull.ordered, edge_maps)
 
 
 def _compose(d: int, diagonals) -> tuple[int, ...]:

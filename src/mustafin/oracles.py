@@ -1,17 +1,20 @@
 """Brute-force reference computations used to cross-check the fast paths.
 
-These deliberately avoid the residuation projection, the permutation scan
-and the hull-point signature machinery, so that each check in the test
-suite and in ``verify`` compares two independent routes.
+These deliberately avoid the residuation projection, the memoised minor
+expansion, the neighbour lookups and the hull-point signature machinery,
+so that each check in the test suite and in ``verify`` compares two
+independent routes.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 from math import comb, prod
 from typing import Sequence
 
-from .apartment import DiagonalLatticeClass, class_to_point, intersection_class, point_to_class
+from .apartment import DiagonalLatticeClass, class_to_point, intersection_class, is_adjacent, point_to_class
+from .hull import lattice_points
+from .linked import step_diagonal
 from .multidegree import MultidegreeSet
 from .tropical import Configuration, TorusPoint, normalize, tropical_combination
 
@@ -47,38 +50,26 @@ def brute_force_hull(config: Configuration) -> frozenset[TorusPoint]:
 
 
 def assignment_min_count(matrix: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """Tropical determinant via dynamic programming over column subsets.
-
-    dp[mask] holds (min cost, number of optimal partial assignments) after
-    matching the first popcount(mask) rows to the columns in mask.
-    """
+    """Tropical determinant and its number of optimal permutations, by scanning all r! of them."""
     r = len(matrix)
     rows = [tuple(row) for row in matrix]
-    full = (1 << r) - 1
-    best: list[tuple[int, int] | None] = [None] * (1 << r)
-    best[0] = (0, 1)
-    for mask in range(1 << r):
-        state = best[mask]
-        if state is None:
-            continue
-        i = mask.bit_count()
-        if i == r:
-            continue
-        cost, ways = state
-        for j in range(r):
-            bit = 1 << j
-            if mask & bit:
-                continue
-            nxt = mask | bit
-            cand = cost + rows[i][j]
-            cur = best[nxt]
-            if cur is None or cand < cur[0]:
-                best[nxt] = (cand, ways)
-            elif cand == cur[0]:
-                best[nxt] = (cand, cur[1] + ways)
-    result = best[full]
-    assert result is not None
-    return result
+    best: int | None = None
+    count = 0
+    for sigma in permutations(range(r)):
+        total = sum(rows[i][sigma[i]] for i in range(r))
+        if best is None or total < best:
+            best, count = total, 1
+        elif total == best:
+            count += 1
+    assert best is not None
+    return best, count
+
+
+def edge_maps_by_pair_scan(config: Configuration) -> dict[tuple[TorusPoint, TorusPoint], tuple[int, ...]]:
+    """Linked-graph edge maps by testing ``is_adjacent`` on every pair of hull points."""
+    verts = lattice_points(config).sorted_points()
+    pairs = [(u, v) for a, u in enumerate(verts) for v in verts[a + 1 :] if is_adjacent(u, v)]
+    return {edge: step_diagonal(*edge) for u, v in pairs for edge in ((u, v), (v, u))}
 
 
 def skeleton_scan(config: Configuration, m: Sequence[int]) -> set[TorusPoint]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from random import Random
 
+from .errors import ContractError
 from .tropical import Configuration, TorusPoint, is_general_position, normalize
 
 
@@ -13,6 +14,8 @@ def random_point(rng: Random, d: int, lo: int, hi: int) -> TorusPoint:
 
 
 def random_configuration(rng: Random, d: int, n: int, lo: int, hi: int) -> Configuration:
+    if n > max(hi - lo + 1, 0) ** (d - 1):
+        raise ContractError(f"[{lo}, {hi}]^{d - 1} holds fewer than {n} distinct normalized points")
     points: list[TorusPoint] = []
     while len(points) < n:
         p = random_point(rng, d, lo, hi)

@@ -8,8 +8,9 @@ makes equality, hashing and lexicographic order well defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from typing import Iterator, Sequence
+from functools import cache
+from itertools import combinations
+from typing import Callable, Iterator, Sequence
 
 from .errors import ContractError, DegenerateSegmentError, DimensionError
 
@@ -109,14 +110,35 @@ def segment(x: TorusPoint, y: TorusPoint) -> list[TorusPoint]:
     return breakpoints
 
 
+def _minor_determinants(rows: Sequence[Sequence[int]]) -> Callable[..., tuple[int, int]]:
+    """Memoised ``det(rs, cs) -> (value, optimal_count)`` of the minor on sorted index tuples.
+
+    Expands along the last row, det(rs, cs) = min over c of rows[rs[-1]][c] + det(rs[:-1], cs - c),
+    adding the counts of tied choices: each minor is computed once for all minors containing it.
+    """
+
+    @cache
+    def det(rs: tuple[int, ...], cs: tuple[int, ...]) -> tuple[int, int]:
+        if not rs:
+            return 0, 1
+        expansions = []
+        for k, c in enumerate(cs):
+            value, ways = det(rs[:-1], cs[:k] + cs[k + 1 :])
+            expansions.append((value + rows[rs[-1]][c], ways))
+        best = min(value for value, _ in expansions)
+        return best, sum(ways for value, ways in expansions if value == best)
+
+    return det
+
+
 def tropical_determinant(matrix: Sequence[Sequence[int]]) -> tuple[int, int]:
     """Min-plus determinant of a square matrix.
 
     Returns ``(value, optimal_count)`` where value is the minimum over all
     permutations of the diagonal sum and optimal_count the number of
     permutations attaining it. The matrix is tropically singular iff
-    optimal_count >= 2. Exhaustive enumeration; intended for desk scale
-    (r <= 9).
+    optimal_count >= 2. Expansion over column subsets: O(2^r * r^2) time
+    and 2^r memo entries for an r x r matrix.
     """
     r = len(matrix)
     if r == 0:
@@ -124,16 +146,14 @@ def tropical_determinant(matrix: Sequence[Sequence[int]]) -> tuple[int, int]:
     rows = [tuple(row) for row in matrix]
     if any(len(row) != r for row in rows):
         raise DimensionError(f"matrix is not square: {r} rows, widths {[len(q) for q in rows]}")
-    best: int | None = None
-    count = 0
-    for sigma in permutations(range(r)):
-        total = sum(rows[i][sigma[i]] for i in range(r))
-        if best is None or total < best:
-            best, count = total, 1
-        elif total == best:
-            count += 1
-    assert best is not None
-    return best, count
+    return _minor_determinants(rows)(tuple(range(r)), tuple(range(r)))
+
+
+def _square_minors(n: int, d: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(rows, cols) of each n x d square minor of size >= 2: largest first, then ``combinations`` order."""
+    for r in range(min(n, d), 1, -1):
+        for rows in combinations(range(n), r):
+            yield from ((rows, cols) for cols in combinations(range(d), r))
 
 
 def singular_square_minor(
@@ -146,13 +166,8 @@ def singular_square_minor(
     0-based ``(row_indices, column_indices)`` of the first singular one,
     or None when the configuration is in tropical general position.
     """
-    for r in range(min(config.n, config.d), 1, -1):
-        for rows in combinations(range(config.n), r):
-            for cols in combinations(range(config.d), r):
-                minor = [[config.points[i][j] for j in cols] for i in rows]
-                if tropical_determinant(minor)[1] >= 2:
-                    return rows, cols
-    return None
+    det = _minor_determinants([p.coords for p in config.points])
+    return next((m for m in _square_minors(config.n, config.d) if det(*m)[1] >= 2), None)
 
 
 def is_general_position(config: Configuration) -> bool:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from mustafin import tropical
 from mustafin.cli import main
 
 TRIPLE = {"d": 3, "points": [[0, -1, -2], [0, -2, -4], [0, -3, -6]], "label": "chain"}
@@ -170,17 +171,47 @@ class TestLocalModel:
 
 class TestVerify:
     def test_all_checks_pass(self, capsys, triple_doc):
-        code, out, _ = run(capsys, ["verify", triple_doc, "--seed", "7"])
+        code, out, _ = run(capsys, ["verify", triple_doc])
         assert code == 0
         report = json.loads(out)
         assert report["ok"] is True
         assert {c["name"] for c in report["checks"]} == {
             "membership_vs_brute_force",
-            "determinant_vs_assignment_dp",
+            "minor_determinants_vs_permutation_scan",
             "multidegree_partition_total",
             "root_maps_vs_reduction_profile",
         }
         assert all(c["failures"] == 0 for c in report["checks"])
+
+    def test_determinant_check_covers_every_minor_of_the_document(self, capsys, tmp_path):
+        path = tmp_path / "ten.json"
+        path.write_text(json.dumps(TEN))
+        code, out, _ = run(capsys, ["verify", str(path)])
+        assert code == 0
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        # 10 x 4 matrix: C(10,r) * C(4,r) minors of each size r = 2, 3, 4
+        assert checks["minor_determinants_vs_permutation_scan"]["cases"] == 45 * 6 + 120 * 4 + 210
+
+    def test_seeded_determinant_defect_fails_the_check(self, capsys, triple_doc, monkeypatch):
+        real = tropical._minor_determinants
+
+        def defective(rows):
+            det = real(rows)
+
+            def wrong(rs, cs):
+                value, count = det(rs, cs)
+                return value, count + ((rs, cs) == ((0, 1), (0, 1)))
+
+            return wrong
+
+        monkeypatch.setattr(tropical, "_minor_determinants", defective)
+        code, out, _ = run(capsys, ["verify", triple_doc])
+        assert code == 4
+        report = json.loads(out)
+        assert report["ok"] is False
+        failures = {c["name"]: c["failures"] for c in report["checks"]}
+        assert failures["minor_determinants_vs_permutation_scan"] == 1
+        assert sum(failures.values()) == 1
 
 
 class TestErrorHandling:

@@ -18,6 +18,7 @@ from mustafin import (
 )
 from mustafin.errors import ContractError, DomainError
 from mustafin.linked import step_diagonal
+from mustafin.oracles import edge_maps_by_pair_scan
 
 from strategies import configurations
 
@@ -66,6 +67,13 @@ class TestBuildGraph:
             f, g = graph.diagonal(u, v), graph.diagonal(v, u)
             assert all(a + b == 1 for a, b in zip(f, g))
             assert any(f) and any(g)
+
+    @given(configurations(min_d=2, max_d=5, min_n=1, max_n=4, lo=-2, hi=2))
+    @settings(max_examples=60, deadline=None)
+    def test_edge_maps_equal_the_pair_scan(self, cfg):
+        graph = build_graph(cfg)
+        assert graph.vertices == tuple(lattice_points(cfg))
+        assert graph.edge_maps == edge_maps_by_pair_scan(cfg)
 
 
 class TestPathMap:

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -140,7 +142,7 @@ class TestTropicalDeterminant:
             )
         )
     )
-    def test_agrees_with_assignment_dp(self, matrix):
+    def test_agrees_with_permutation_scan(self, matrix):
         assert tropical_determinant(matrix) == assignment_min_count(matrix)
 
     @given(
@@ -181,4 +183,17 @@ class TestGeneralPosition:
         if witness is not None:
             rows, cols = witness
             minor = [[cfg.points[i][j] for j in cols] for i in rows]
-            assert tropical_determinant(minor)[1] >= 2
+            assert assignment_min_count(minor)[1] >= 2
+
+    @given(configurations(min_n=2, max_d=5, max_n=5, lo=-2, hi=2))
+    @settings(max_examples=60)
+    def test_witness_is_first_singular_minor_in_scan_order(self, cfg):
+        # The scan reuses one memo for every minor; the oracle recomputes each one.
+        first = None
+        for r in range(min(cfg.n, cfg.d), 1, -1):
+            for rows in combinations(range(cfg.n), r):
+                for cols in combinations(range(cfg.d), r):
+                    minor = [[cfg.points[i][j] for j in cols] for i in rows]
+                    if first is None and assignment_min_count(minor)[1] >= 2:
+                        first = (rows, cols)
+        assert singular_square_minor(cfg) == first
