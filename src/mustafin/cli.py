@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from . import fiber, hull, linked, oracles, tropical
 from .apartment import local_model_chain
@@ -113,8 +115,17 @@ def hull_report(config: Configuration, echo: dict) -> dict:
     }
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+def _dump(obj, newline: str = "\n") -> str:
+    """Same bytes as ``json.dumps(obj, indent=2, sort_keys=True)``, whose ``indent`` runs pure Python."""
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        items = [encode_basestring_ascii(k) + ": " + _dump(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if obj else "{}"
+    if not isinstance(obj, (list, tuple)):
+        return json.dumps(obj)
+    # bool is a subclass of int but prints as true/false: test the exact type.
+    items = map(str, obj) if all(type(v) is int for v in obj) else [_dump(v, inner) for v in obj]
+    return "[" + inner + ("," + inner).join(items) + newline + "]" if obj else "[]"
 
 
 def _table(rows: list[list[str]], header: list[str]) -> str:
@@ -196,23 +207,20 @@ def cmd_graph(args) -> int:
     if args.dot:
         print(linked.graph_to_dot(graph))
         return EXIT_OK
-    print(
-        _dump(
+    report = {
+        "config": echo,
+        "vertices": [list(v.coords) for v in graph.vertices],
+        "edges": [
             {
-                "config": echo,
-                "vertices": [list(v.coords) for v in graph.vertices],
-                "edges": [
-                    {
-                        "u": list(u.coords),
-                        "v": list(v.coords),
-                        "forward": list(graph.diagonal(u, v)),
-                        "backward": list(graph.diagonal(v, u)),
-                    }
-                    for u, v in graph.edges
-                ],
+                "u": list(u.coords),
+                "v": list(v.coords),
+                "forward": list(graph.diagonal(u, v)),
+                "backward": list(graph.diagonal(v, u)),
             }
-        )
-    )
+            for u, v in graph.edges
+        ],
+    }
+    print(_dump(report))
     return EXIT_OK
 
 
@@ -266,10 +274,9 @@ def cmd_verify(args) -> int:
     except InvariantViolationError:
         checks.append({"name": "multidegree_partition_total", "cases": 1, "failures": 1})
 
-    root_failures = 0
-    for desc in descriptors:
-        if tuple(linked._root_maps(config, desc.vertex)) != desc.profile.diagonals():
-            root_failures += 1
+    root_failures = sum(
+        tuple(linked._root_maps(config, desc.vertex)) != desc.profile.diagonals() for desc in descriptors
+    )
     checks.append(
         {"name": "root_maps_vs_reduction_profile", "cases": len(descriptors), "failures": root_failures}
     )
@@ -279,46 +286,34 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; every ``parse_args`` call starts from a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="mustafin",
         description="Classify special fibers of one-apartment Mustafin degenerations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_hull = sub.add_parser("hull", help="hull lattice points of a configuration")
-    p_hull.add_argument("path")
-    p_hull.add_argument("--format", choices=("json", "table"), default="json")
-    p_hull.set_defaults(func=cmd_hull)
-
-    p_classify = sub.add_parser("classify", help="full component classification report")
-    p_classify.add_argument("path")
-    p_classify.add_argument("--format", choices=("json", "table"), default="json")
-    p_classify.set_defaults(func=cmd_classify)
-
-    p_hilbert = sub.add_parser("hilbert", help="Hilbert function value of one vertex's variety")
-    p_hilbert.add_argument("path")
-    p_hilbert.add_argument("--vertex", required=True, help="comma-separated integers, e.g. 0,-1,-4")
-    p_hilbert.add_argument("--u", required=True, help="comma-separated grading vector")
-    p_hilbert.set_defaults(func=cmd_hilbert)
-
-    p_graph = sub.add_parser("graph", help="linked graph with diagonal edge maps")
-    p_graph.add_argument("path")
-    p_graph.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
-    p_graph.set_defaults(func=cmd_graph)
-
-    p_gp = sub.add_parser("gp", help="tropical general position test with witness")
-    p_gp.add_argument("path")
-    p_gp.set_defaults(func=cmd_gp)
-
-    p_local = sub.add_parser("local-model", help="standard local model chain configuration")
-    p_local.add_argument("--d", type=int, required=True)
-    p_local.set_defaults(func=cmd_local_model)
-
-    p_verify = sub.add_parser("verify", help="cross-check fast paths against brute-force oracles")
-    p_verify.add_argument("path")
-    p_verify.set_defaults(func=cmd_verify)
-
+    p = {}
+    for name, func, help_text in (
+        ("hull", cmd_hull, "hull lattice points of a configuration"),
+        ("classify", cmd_classify, "full component classification report"),
+        ("hilbert", cmd_hilbert, "Hilbert function value of one vertex's variety"),
+        ("graph", cmd_graph, "linked graph with diagonal edge maps"),
+        ("gp", cmd_gp, "tropical general position test with witness"),
+        ("local-model", cmd_local_model, "standard local model chain configuration"),
+        ("verify", cmd_verify, "cross-check fast paths against brute-force oracles"),
+    ):
+        command = p[name] = sub.add_parser(name, help=help_text)
+        command.set_defaults(func=func)
+        if name != "local-model":
+            command.add_argument("path")
+    for name in ("hull", "classify"):
+        p[name].add_argument("--format", choices=("json", "table"), default="json")
+    p["hilbert"].add_argument("--vertex", required=True, help="comma-separated integers, e.g. 0,-1,-4")
+    p["hilbert"].add_argument("--u", required=True, help="comma-separated grading vector")
+    p["graph"].add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
+    p["local-model"].add_argument("--d", type=int, required=True)
     return parser
 
 
@@ -327,8 +322,7 @@ def _error_record(code: str, message: str) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

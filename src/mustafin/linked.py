@@ -10,7 +10,8 @@ reproduces the minimal-path map or vanishes identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from math import prod
 from operator import add
 from typing import Sequence
@@ -48,8 +49,13 @@ class LinkedGraph:
 
     @property
     def edges(self) -> list[tuple[TorusPoint, TorusPoint]]:
-        """Unordered edges, each reported once with endpoints sorted."""
-        return sorted({tuple(sorted((u, v))) for u, v in self.edge_maps})
+        """Unordered edges, each once with endpoints sorted; coordinate tuples sort as points do."""
+        ends = {}
+        for u, v in self.edge_maps:
+            if v.coords < u.coords:
+                u, v = v, u
+            ends[u.coords, v.coords] = u, v
+        return [ends[key] for key in sorted(ends)]
 
     def diagonal(self, u: TorusPoint, v: TorusPoint) -> tuple[int, ...]:
         try:
@@ -58,7 +64,15 @@ class LinkedGraph:
             raise ContractError(f"{u.coords} -> {v.coords} is not an edge") from None
 
     def neighbors(self, u: TorusPoint) -> list[TorusPoint]:
-        return sorted(v for (a, v) in self.edge_maps if a == u)
+        """Sorted out-neighbours of ``u``, from an adjacency cached on the first call."""
+        return list(self._out_neighbors.get(u, ()))
+
+    @cached_property
+    def _out_neighbors(self) -> dict[TorusPoint, list[TorusPoint]]:
+        adjacency: dict[TorusPoint, list[TorusPoint]] = {}
+        for u, v in sorted(self.edge_maps, key=lambda edge: edge[1].coords):
+            adjacency.setdefault(u, []).append(v)
+        return adjacency
 
 
 def step_diagonal(u: TorusPoint, v: TorusPoint) -> tuple[int, ...]:
@@ -129,15 +143,7 @@ class ChainExactnessReport:
 
     @property
     def all_ok(self) -> bool:
-        return all(
-            all(flags)
-            for flags in (
-                self.ker_f_is_im_g,
-                self.ker_g_is_im_f,
-                self.im_f_avoids_ker_f,
-                self.im_g_avoids_ker_g,
-            )
-        )
+        return all(all(getattr(self, f.name)) for f in fields(self))
 
 
 def exactness_check(graph: LinkedGraph, path: Sequence[TorusPoint]) -> ChainExactnessReport:

@@ -4,10 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from mustafin import tropical
-from mustafin.cli import main
+from mustafin.cli import _dump, main
 
 TRIPLE = {"d": 3, "points": [[0, -1, -2], [0, -2, -4], [0, -3, -6]], "label": "chain"}
 PAIR = {"d": 3, "points": [[0, 0, 0], [0, 1, 1]]}
@@ -32,6 +34,32 @@ def pair_doc(tmp_path):
     path = tmp_path / "pair.json"
     path.write_text(json.dumps(PAIR))
     return str(path)
+
+
+KEYS = st.one_of(st.sampled_from(["", "é", "\u2603", '"', "\\", "\n", "\x00\x1f", "a\tb"]), st.text())
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.floats(),
+    st.text(),
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(st.one_of(st.integers(), st.booleans())),
+        st.lists(inner).map(tuple),
+        st.dictionaries(KEYS, inner),
+    ),
+    max_leaves=30,
+)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_dump_equals_the_json_encoder(value):
+    assert _dump(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 def run(capsys, argv):

@@ -3,9 +3,11 @@
 ``lattice_points`` makes no membership test, points it has just enumerated
 are not tested for hull membership again, a CLI classification report enumerates the hull and
 tests general position once, and ``verify`` classifies once. The counts come from wrapping the functions
-at every ``mustafin`` module attribute that holds them.
+at every ``mustafin`` module attribute that holds them. ``main`` builds its parser once per process,
+and a call's options do not leak into the next call.
 """
 
+import argparse
 import contextlib
 import io
 import sys
@@ -18,6 +20,7 @@ import mustafin.hull as hull
 import mustafin.oracles as oracles
 import mustafin.tropical as tropical
 from mustafin.sampling import random_configuration
+from test_golden import DOCS, cli_stdout, recording
 
 CONFIG = random_configuration(Random(1), 4, 4, -6, 6)
 WIDE_PAIR = tropical.configuration(3, [(0, 0, 0), (0, 100000, -100000)])
@@ -103,3 +106,27 @@ def test_verify_enumerates_once_and_tests_only_the_box(monkeypatch):
         assert cli.main(["verify", str(doc)]) == 0
     assert len(enumerations) == 1
     assert len(membership_tests) == len(oracles.all_box_points(config)) == 294
+
+
+def test_main_builds_the_parser_once_per_process(monkeypatch):
+    builds = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("prog") == "mustafin":
+            builds.append(kwargs)
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    doc = str(DOCS["unit_step_pair"])
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in (["hull", doc], ["classify", doc, "--format", "table"], ["gp", doc], ["hull", doc]):
+            assert cli.main(argv) == 0
+    assert len(builds) == 1
+
+
+def test_shared_parser_carries_no_option_into_the_next_call():
+    for doc in DOCS:
+        for command in ("classify-table", "classify", "graph-dot", "graph", "hull-table", "hull", "classify-table"):
+            assert cli_stdout(doc, command) == recording(doc, command).read_bytes(), (doc, command)

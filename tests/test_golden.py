@@ -31,6 +31,7 @@ COMMANDS = {
     "classify": ("classify", []),
     "classify-table": ("classify", ["--format", "table"]),
     "hull": ("hull", []),
+    "hull-table": ("hull", ["--format", "table"]),
     "graph": ("graph", []),
     "graph-dot": ("graph", ["--dot"]),
     "gp": ("gp", []),

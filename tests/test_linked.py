@@ -1,3 +1,4 @@
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -74,6 +75,25 @@ class TestBuildGraph:
         graph = build_graph(cfg)
         assert graph.vertices == tuple(lattice_points(cfg))
         assert graph.edge_maps == edge_maps_by_pair_scan(cfg)
+
+    @given(configurations(min_d=2, max_d=5, min_n=1, max_n=4, lo=-2, hi=2), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_edges_and_neighbors_equal_scans_of_the_edge_maps(self, cfg, rng):
+        full = build_graph(cfg)
+        # A hand-made graph may hold one direction of a pair, both, or neither.
+        kept = {edge: diag for edge, diag in full.edge_maps.items() if rng.random() < 0.5}
+        for graph in (full, LinkedGraph(cfg.d, full.vertices, kept)):
+            assert graph.edges == sorted({tuple(sorted((u, v))) for u, v in graph.edge_maps})
+            for u in graph.vertices:
+                assert graph.neighbors(u) == sorted(v for (a, v) in graph.edge_maps if a == u)
+
+    def test_one_directional_edge(self):
+        u, v = normalize((0, 0)), normalize((0, 1))
+        graph = LinkedGraph(2, (u, v), {(v, u): (0, 1)})
+        assert graph.edges == [(u, v)]
+        assert graph.neighbors(u) == [] and graph.neighbors(v) == [u]
+        graph.neighbors(v).clear()
+        assert graph.neighbors(v) == [u]
 
 
 class TestPathMap:
