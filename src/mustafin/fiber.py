@@ -6,7 +6,8 @@ its kernel is the complementary coordinate subspace. A hull point
 contributes an irreducible component iff the image of its joint rational
 map has full dimension d-1, which the multidegree engine decides exactly.
 
-Argmin sets are computed in one place, ``hull._argmin_sets``; the oracles,
+The hull walk ``hull.lattice_points`` carries the argmin sets of every point it
+enumerates, and ``hull._argmin_sets`` computes them for single points; the oracles,
 the acceptance suite and the benchmark keep independent copies on purpose.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ContractError, DomainError, InvariantViolationError
 from .hull import _argmin_sets, contains, lattice_points
@@ -77,34 +78,34 @@ def reduction_profile(config: Configuration, v: TorusPoint) -> ReductionProfile:
     """Argmin sets and kernels of the reduced diagonal maps at hull point ``v``."""
     if not contains(config, v):
         raise DomainError(f"{v.coords} is not in the hull of the configuration")
-    return _profile(config, v)
-
-
-def _profile(config: Configuration, v: TorusPoint) -> ReductionProfile:
     argmins = _argmin_sets(config, v)
     full = frozenset(range(1, config.d + 1))
-    kernels = tuple(CoordinateSubspace(config.d, full - J) for J in argmins)
-    return ReductionProfile(v, argmins, kernels)
+    return ReductionProfile(v, argmins, tuple(CoordinateSubspace(config.d, full - J) for J in argmins))
 
 
 def describe_vertex(config: Configuration, v: TorusPoint) -> ComponentDescriptor:
     """Full descriptor (profile, dimension, multidegrees) of one hull point."""
-    return _descriptor(config, reduction_profile(config, v))
+    return next(_describe(config, [reduction_profile(config, v)]))
 
 
-def _descriptor(config: Configuration, profile: ReductionProfile) -> ComponentDescriptor:
-    table = intersection_dims(profile.kernels)
-    mset = multidegree_set(config.d, table)
-    return ComponentDescriptor(
-        vertex=profile.vertex,
-        profile=profile,
-        table=table,
-        p=mset.p,
-        multidegrees=mset,
-        is_component=(mset.p == config.d - 1),
-        is_primary=(profile.vertex in config.points),
-        factor_dims=tuple(len(J) - 1 for J in profile.argmins),
-    )
+def _describe(config: Configuration, profiles: Iterable[ReductionProfile]) -> Iterator[ComponentDescriptor]:
+    """One descriptor per profile; the d_I table and M(p) are computed once per argmin type."""
+    types: dict[tuple[frozenset[int], ...], tuple[DIndexTable, MultidegreeSet]] = {}
+    for profile in profiles:
+        if profile.argmins not in types:
+            table = intersection_dims(profile.kernels)
+            types[profile.argmins] = table, multidegree_set(config.d, table)
+        table, mset = types[profile.argmins]
+        yield ComponentDescriptor(
+            vertex=profile.vertex,
+            profile=profile,
+            table=table,
+            p=mset.p,
+            multidegrees=mset,
+            is_component=(mset.p == config.d - 1),
+            is_primary=(profile.vertex in config.points),
+            factor_dims=tuple(len(J) - 1 for J in profile.argmins),
+        )
 
 
 def classify(config: Configuration) -> list[ComponentDescriptor]:
@@ -112,9 +113,19 @@ def classify(config: Configuration) -> list[ComponentDescriptor]:
 
     Descriptors with ``is_component`` set are exactly the irreducible
     components of the special fiber. The enumerated points are not tested
-    for membership again.
+    for membership again; their argmin sets come with the enumeration, and
+    each distinct set becomes a frozenset and a kernel once.
     """
-    return [_descriptor(config, _profile(config, v)) for v in lattice_points(config)]
+    hull = lattice_points(config)
+    full = frozenset(range(1, config.d + 1))
+    sets = {}
+    for mask in {mask for masks in hull.argmin_masks for mask in masks}:
+        J = frozenset(j for j in full if mask >> (j - 1) & 1)
+        sets[mask] = J, CoordinateSubspace(config.d, full - J)
+    # (argmins, kernels) of each argmin type, shared by its points
+    types = {masks: tuple(zip(*map(sets.get, masks))) for masks in set(hull.argmin_masks)}
+    profiles = (ReductionProfile(v, *types[masks]) for v, masks in zip(hull, hull.argmin_masks))
+    return list(_describe(config, profiles))
 
 
 def multidegree_partition(

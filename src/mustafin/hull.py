@@ -22,6 +22,8 @@ class HullLatticeSet:
     config: Configuration
     points: frozenset[TorusPoint]
     ordered: tuple[TorusPoint, ...] = field(compare=False, repr=False)
+    # argmin_masks[k][i]: argmin set of v_i - ordered[k] as a bitmask, bit j-1 for coordinate j
+    argmin_masks: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     def sorted_points(self) -> list[TorusPoint]:
         return list(self.ordered)
@@ -51,13 +53,11 @@ class SkeletonSignature:
 
 def residuation_projection(config: Configuration, x: TorusPoint) -> tuple[int, ...]:
     """Nearest point of the hull above ``x``: min_i(lam_i + v_i) with maximal residuals."""
-    if len(x) != config.d:
-        raise DimensionError(f"point length {len(x)} does not match d={config.d}")
-    lam = [max(x[j] - p[j] for j in range(config.d)) for p in config.points]
-    return tuple(
-        min(lam[i] + p[j] for i, p in enumerate(config.points))
-        for j in range(config.d)
-    )
+    xs, gens = x.coords, [p.coords for p in config.points]
+    if len(xs) != config.d:
+        raise DimensionError(f"point length {len(xs)} does not match d={config.d}")
+    lam = [max(map(sub, xs, g)) for g in gens]
+    return tuple(min(a + g[j] for a, g in zip(lam, gens)) for j in range(config.d))
 
 
 def contains(config: Configuration, x: TorusPoint) -> bool:
@@ -66,26 +66,43 @@ def contains(config: Configuration, x: TorusPoint) -> bool:
 
 
 def lattice_points(config: Configuration) -> HullLatticeSet:
-    """Enumerate every lattice point of the hull, in lexicographic order.
+    """Enumerate every lattice point of the hull, in lexicographic order, with its argmin sets.
 
     Cutting coordinates is min-plus linear, so length-k prefixes y of hull points form the
     hull of the cut generators. With Lam_i = max_{j<k}(y_j - g_ij), (y, t) has coefficients
     max(Lam_i, t - g_ik), and pi(y, t) >= (y, t) is equal iff t >= lo = min_i(Lam_i + g_ik)
     and each j < k keeps an i with Lam_i + g_ij = y_j and t <= Lam_i + g_ik, i.e. t <= hi =
     min_{j<k} max{Lam_i + g_ik : Lam_i + g_ij = y_j}. (y, lo) = min_i(Lam_i + g_i) is a hull
-    point, so each fibre is all of [lo, hi]: cost sum_k |level k| * n * k plus the output.
+    point, so each fibre is all of [lo, hi].
+
+    Each prefix carries the bitmasks T_i = {j < k : y_j - g_ij = Lam_i}; Lam_i is y_j - g_ij
+    at any j in T_i. With u_i = Lam_i + g_ik, the child (y, t) keeps T_i if t < u_i, adds k
+    if t = u_i and becomes {k} if t > u_i. hi is the u_i at which the T_i, taken by
+    decreasing u_i, first cover every j < k. At length d, T_i is where x_j - g_ij is largest,
+    i.e. the argmin set of v_i - x. Equal mask tuples are stored once. Cost O(n log n) per
+    prefix and O(n) per point.
     """
     gens = [p.coords for p in config.points]
-    level: list[tuple[int, ...]] = [(0,)]
+    level, level_masks = [(0,)], [(1,) * len(gens)]
+    distinct: dict[tuple[int, ...], tuple[int, ...]] = {}
     for k in range(1, config.d):
-        level, parents = [], level
-        for y in parents:
-            lams = [max(map(sub, y, g)) for g in gens]
-            ups = [lam + g[k] for lam, g in zip(lams, gens)]
-            highs = (max(u for lam, g, u in zip(lams, gens, ups) if lam + g[j] == y[j]) for j in range(k))
-            level.extend(y + (t,) for t in range(min(ups), min(highs) + 1))
+        bit, full = 1 << k, (1 << k) - 1
+        parents, parent_masks = level, level_masks
+        level, level_masks = [], []
+        for y, masks in zip(parents, parent_masks):
+            tops = [mask.bit_length() - 1 for mask in masks]
+            ups = [y[j] - g[j] + g[k] for j, g in zip(tops, gens)]
+            covered = 0
+            for hi, mask in sorted(zip(ups, masks), reverse=True):
+                covered |= mask
+                if covered == full:
+                    break
+            for t in range(min(ups), hi + 1):
+                child = tuple(m if t < u else m | bit if t == u else bit for m, u in zip(masks, ups))
+                level.append(y + (t,))
+                level_masks.append(distinct.setdefault(child, child))
     ordered = tuple(map(TorusPoint, level))
-    return HullLatticeSet(config, frozenset(ordered), ordered)
+    return HullLatticeSet(config, frozenset(ordered), ordered, tuple(level_masks))
 
 
 def _argmin_sets(config: Configuration, x: TorusPoint) -> tuple[frozenset[int], ...]:
@@ -119,8 +136,6 @@ def locate_by_multidegree(config: Configuration, m: Sequence[int]) -> set[TorusP
         raise ContractError(f"multidegree entries must be nonnegative: {m}")
     if sum(m) != config.d - 1:
         raise ContractError(f"multidegree entries must sum to d-1={config.d - 1}: {m}")
-    hits = set()
-    for point in lattice_points(config):
-        if all(len(J) - 1 >= v for J, v in zip(_argmin_sets(config, point), m)):
-            hits.add(point)
-    return hits
+    hull = lattice_points(config)
+    signatures = zip(hull, hull.argmin_masks)
+    return {x for x, masks in signatures if all(mask.bit_count() > v for mask, v in zip(masks, m))}

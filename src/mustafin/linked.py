@@ -68,6 +68,10 @@ class LinkedGraph:
         return list(self._out_neighbors.get(u, ()))
 
     @cached_property
+    def _vertex_set(self) -> frozenset[TorusPoint]:
+        return frozenset(self.vertices)
+
+    @cached_property
     def _out_neighbors(self) -> dict[TorusPoint, list[TorusPoint]]:
         adjacency: dict[TorusPoint, list[TorusPoint]] = {}
         for u, v in sorted(self.edge_maps, key=lambda edge: edge[1].coords):
@@ -118,7 +122,7 @@ def path_map(graph: LinkedGraph, path: Sequence[TorusPoint]):
     if not path:
         raise ContractError("a path needs at least one vertex")
     for vertex in path:
-        if vertex not in graph.vertices:
+        if vertex not in graph._vertex_set:
             raise ContractError(f"{vertex.coords} is not a vertex of the graph")
     product = _compose(graph.d, (graph.diagonal(u, v) for u, v in zip(path, path[1:])))
     if not any(product):

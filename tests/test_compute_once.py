@@ -2,7 +2,9 @@
 
 ``lattice_points`` makes no membership test, points it has just enumerated
 are not tested for hull membership again, a CLI classification report enumerates the hull and
-tests general position once, and ``verify`` classifies once. The counts come from wrapping the functions
+tests general position once, and ``verify`` classifies once. ``classify`` and ``locate_by_multidegree``
+read the argmin sets the enumeration carries, and ``classify`` builds each distinct argmin set's kernel
+once and each argmin type's multidegrees once. The counts come from wrapping the functions
 at every ``mustafin`` module attribute that holds them. ``main`` builds its parser once per process,
 and a call's options do not leak into the next call.
 """
@@ -17,6 +19,7 @@ from random import Random
 import mustafin.cli as cli
 import mustafin.fiber as fiber
 import mustafin.hull as hull
+import mustafin.multidegree as multidegree
 import mustafin.oracles as oracles
 import mustafin.tropical as tropical
 from mustafin.sampling import random_configuration
@@ -87,6 +90,43 @@ def test_locate_by_multidegree_tests_membership_only_in_the_scan(monkeypatch):
     for m in ((3, 0, 0, 0), (1, 1, 1, 0), (0, 1, 0, 2)):
         hull.locate_by_multidegree(CONFIG, m)
     assert log == []
+
+
+def test_classify_and_locate_read_the_carried_argmin_sets(monkeypatch):
+    argmin_scans = record_calls(monkeypatch, hull._argmin_sets)
+    fiber.classify(CONFIG)
+    for m in ((3, 0, 0, 0), (1, 1, 1, 0), (0, 1, 0, 2)):
+        hull.locate_by_multidegree(CONFIG, m)
+    assert argmin_scans == []
+
+
+def test_classify_builds_each_argmin_set_and_each_type_once(monkeypatch):
+    points = hull.lattice_points(CONFIG)
+    types = {hull._argmin_sets(CONFIG, v) for v in points}
+    sets = {J for argmins in types for J in argmins}
+    kernels = []
+    post_init = multidegree.CoordinateSubspace.__post_init__
+
+    def counted(self):
+        kernels.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(multidegree.CoordinateSubspace, "__post_init__", counted)
+    multidegree_sets = record_calls(monkeypatch, multidegree.multidegree_set)
+    fiber.classify(CONFIG)
+    assert len(kernels) == len(sets) < len(points) * CONFIG.n
+    assert len(multidegree_sets) == len(types) < len(points)
+
+
+def test_points_of_one_type_share_their_table_and_multidegrees():
+    descriptors = fiber.classify(CONFIG)
+    first_of_type = {}
+    for desc in descriptors:
+        assert desc == fiber.describe_vertex(CONFIG, desc.vertex)
+        first = first_of_type.setdefault(desc.profile.argmins, desc)
+        assert (desc.table, desc.p, desc.multidegrees) == (first.table, first.p, first.multidegrees)
+        assert desc.table is first.table and desc.multidegrees is first.multidegrees
+    assert len(first_of_type) < len(descriptors)
 
 
 def test_classification_report_enumerates_and_tests_position_once(monkeypatch):

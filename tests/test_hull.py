@@ -14,7 +14,7 @@ from mustafin import (
     tropical_combination,
 )
 from mustafin.errors import ContractError, DimensionError, DomainError
-from mustafin.hull import residuation_projection
+from mustafin.hull import _argmin_sets, residuation_projection
 from mustafin.oracles import brute_force_hull, skeleton_scan
 
 from strategies import compositions, configurations
@@ -77,6 +77,15 @@ class TestLatticePoints:
         hull_set = lattice_points(cfg)
         assert hull_set.points == brute_force_hull(cfg)
         assert list(hull_set) == hull_set.sorted_points() == sorted(hull_set.points)
+
+    @given(configurations(max_d=6, max_n=6, lo=-2, hi=2))
+    @settings(max_examples=60, deadline=None)
+    def test_carried_masks_are_the_argmin_sets(self, cfg):
+        hull_set = lattice_points(cfg)
+        assert len(hull_set.argmin_masks) == len(hull_set)
+        for x, masks in zip(hull_set, hull_set.argmin_masks):
+            assert masks == tuple(sum(1 << (j - 1) for j in J) for J in _argmin_sets(cfg, x)), x
+        assert list(hull_set) == sorted(brute_force_hull(cfg))
 
 
 class TestSkeletonSignature:

@@ -113,6 +113,13 @@ class TestPathMap:
         with pytest.raises(ContractError):
             path_map(graph, [])
 
+    def test_non_vertex_rejected(self, collinear_triple):
+        graph = build_graph(collinear_triple)
+        inside, outside = normalize((0, -1, -4)), normalize((0, -2, -3))
+        for path in ([outside], [inside, outside]):
+            with pytest.raises(ContractError, match="is not a vertex of the graph"):
+                path_map(graph, path)
+
     def test_minimal_paths_reproduce_profile_diagonals(self, collinear_triple):
         graph = build_graph(collinear_triple)
         hull_pts = list(lattice_points(collinear_triple))
