@@ -39,7 +39,8 @@ def load_document(path: str) -> tuple[Configuration, dict]:
             doc = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and over-long integer literals.
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")

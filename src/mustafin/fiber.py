@@ -7,8 +7,9 @@ contributes an irreducible component iff the image of its joint rational
 map has full dimension d-1, which the multidegree engine decides exactly.
 
 The hull walk ``hull.lattice_points`` carries the argmin sets of every point it
-enumerates, and ``hull._argmin_sets`` computes them for single points; the oracles,
-the acceptance suite and the benchmark keep independent copies on purpose.
+enumerates as bitmasks, and ``hull._argmin_masks`` computes them in the same format
+for single points; one routine turns masks into argmin sets and kernels for both. The
+oracles, the acceptance suite and the benchmark keep independent copies on purpose.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import ContractError, DomainError, InvariantViolationError
-from .hull import _argmin_sets, contains, lattice_points
+from .errors import ContractError, InvariantViolationError
+from .hull import _hull_point_masks, lattice_points
 from .multidegree import (
     CoordinateSubspace,
     DIndexTable,
@@ -76,11 +77,19 @@ class ComponentCounts(NamedTuple):
 
 def reduction_profile(config: Configuration, v: TorusPoint) -> ReductionProfile:
     """Argmin sets and kernels of the reduced diagonal maps at hull point ``v``."""
-    if not contains(config, v):
-        raise DomainError(f"{v.coords} is not in the hull of the configuration")
-    argmins = _argmin_sets(config, v)
+    return _profiles(config, [v], [_hull_point_masks(config, v)])[0]
+
+
+def _profiles(config: Configuration, points: Sequence[TorusPoint], types: Sequence[tuple[int, ...]]) -> list:
+    """Profiles of points with the given argmin types (tuples of argmin masks); each distinct mask and
+    type is converted once, so points of one type share their argmins and kernels."""
     full = frozenset(range(1, config.d + 1))
-    return ReductionProfile(v, argmins, tuple(CoordinateSubspace(config.d, full - J) for J in argmins))
+    sets = {}
+    for mask in {mask for masks in types for mask in masks}:
+        J = frozenset(j for j in full if mask >> (j - 1) & 1)
+        sets[mask] = J, CoordinateSubspace(config.d, full - J)
+    parts = {masks: tuple(zip(*map(sets.get, masks))) for masks in set(types)}
+    return [ReductionProfile(v, *parts[masks]) for v, masks in zip(points, types)]
 
 
 def describe_vertex(config: Configuration, v: TorusPoint) -> ComponentDescriptor:
@@ -117,15 +126,7 @@ def classify(config: Configuration) -> list[ComponentDescriptor]:
     each distinct set becomes a frozenset and a kernel once.
     """
     hull = lattice_points(config)
-    full = frozenset(range(1, config.d + 1))
-    sets = {}
-    for mask in {mask for masks in hull.argmin_masks for mask in masks}:
-        J = frozenset(j for j in full if mask >> (j - 1) & 1)
-        sets[mask] = J, CoordinateSubspace(config.d, full - J)
-    # (argmins, kernels) of each argmin type, shared by its points
-    types = {masks: tuple(zip(*map(sets.get, masks))) for masks in set(hull.argmin_masks)}
-    profiles = (ReductionProfile(v, *types[masks]) for v, masks in zip(hull, hull.argmin_masks))
-    return list(_describe(config, profiles))
+    return list(_describe(config, _profiles(config, hull.ordered, hull.argmin_masks)))
 
 
 def multidegree_partition(

@@ -1,14 +1,15 @@
 """Tropical convex hulls: membership, lattice-point enumeration, skeleton data.
 
-Membership uses the residuation (nearest-point) projection, which is exact
-over the integers: pi(x) >= x coordinatewise, with equality everywhere iff
-x lies in the hull. Enumeration grows prefixes by fibres and never scans the box.
+Membership is the covering test on the argmin sets of v_i - x: x lies in the hull
+iff every coordinate is in some argmin set. The sets are bitmasks, as the walk carries
+them. Enumeration grows prefixes by fibres and never scans the box.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import sub
+from functools import reduce
+from operator import or_, sub
 from typing import Iterator, Sequence
 
 from .errors import ContractError, DimensionError, DomainError
@@ -51,18 +52,35 @@ class SkeletonSignature:
     codims: tuple[int, ...]
 
 
-def residuation_projection(config: Configuration, x: TorusPoint) -> tuple[int, ...]:
-    """Nearest point of the hull above ``x``: min_i(lam_i + v_i) with maximal residuals."""
-    xs, gens = x.coords, [p.coords for p in config.points]
+def _argmin_masks(config: Configuration, x: TorusPoint) -> tuple[int, ...]:
+    """Argmin set of v_i - x per generator as a bitmask, bit j-1 for coordinate j."""
+    xs = x.coords
     if len(xs) != config.d:
         raise DimensionError(f"point length {len(xs)} does not match d={config.d}")
-    lam = [max(map(sub, xs, g)) for g in gens]
-    return tuple(min(a + g[j] for a, g in zip(lam, gens)) for j in range(config.d))
+    masks = []
+    for g in config.points:
+        diffs = list(map(sub, g.coords, xs))
+        lo = min(diffs)
+        masks.append(sum(1 << j for j, value in enumerate(diffs) if value == lo))
+    return tuple(masks)
 
 
 def contains(config: Configuration, x: TorusPoint) -> bool:
-    """True iff ``x`` lies in the tropical convex hull of the configuration."""
-    return residuation_projection(config, x) == x.coords
+    """True iff ``x`` lies in the tropical convex hull of the configuration.
+
+    With lam_i = max_j(x_j - g_ij), x is in the hull iff x_j = min_i(lam_i + g_ij) for every j
+    (residuation). Each lam_i + g_ij >= x_j, with equality iff j is in the argmin set J_i of
+    v_i - x; so x is in the hull iff the J_i cover every coordinate.
+    """
+    return reduce(or_, _argmin_masks(config, x)) == (1 << config.d) - 1
+
+
+def _hull_point_masks(config: Configuration, x: TorusPoint) -> tuple[int, ...]:
+    """``_argmin_masks`` of a hull point; DomainError if they fail the covering test of ``contains``."""
+    masks = _argmin_masks(config, x)
+    if reduce(or_, masks) != (1 << config.d) - 1:
+        raise DomainError(f"{x.coords} is not in the hull of the configuration")
+    return masks
 
 
 def lattice_points(config: Configuration) -> HullLatticeSet:
@@ -105,21 +123,9 @@ def lattice_points(config: Configuration) -> HullLatticeSet:
     return HullLatticeSet(config, frozenset(ordered), ordered, tuple(level_masks))
 
 
-def _argmin_sets(config: Configuration, x: TorusPoint) -> tuple[frozenset[int], ...]:
-    """Argmin set of v_i - x (1-based coordinates) per generator; ``x`` must be a hull point."""
-    sets = []
-    for p in config.points:
-        diffs = [a - b for a, b in zip(p.coords, x.coords)]
-        lo = min(diffs)
-        sets.append(frozenset(j for j, value in enumerate(diffs, 1) if value == lo))
-    return tuple(sets)
-
-
 def skeleton_signature(config: Configuration, x: TorusPoint) -> SkeletonSignature:
     """Skeleton codimensions of a hull point (argmin multiplicities minus one)."""
-    if not contains(config, x):
-        raise DomainError(f"{x.coords} is not in the hull of the configuration")
-    return SkeletonSignature(x, tuple(len(J) - 1 for J in _argmin_sets(config, x)))
+    return SkeletonSignature(x, tuple(mask.bit_count() - 1 for mask in _hull_point_masks(config, x)))
 
 
 def locate_by_multidegree(config: Configuration, m: Sequence[int]) -> set[TorusPoint]:

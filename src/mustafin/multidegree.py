@@ -12,7 +12,8 @@ Everything here is exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, prod
+from functools import cached_property
+from math import comb
 from typing import Iterable, Sequence
 
 from .errors import ContractError, UndefinedMapError
@@ -83,6 +84,29 @@ class MultidegreeSet:
 
     def sorted_tuples(self) -> list[tuple[int, ...]]:
         return sorted(self.tuples)
+
+    @cached_property
+    def _down_closure(self) -> list[list[list[tuple[int, int, int]]]]:
+        """The tuples below some member as a layered DAG, built on first use and kept by this instance.
+
+        A node of layer i stands for a set S of suffixes of length n - i. Its entry (lo, hi, c) says
+        that the suffixes below S whose first entry k has lo < k <= hi go on as those below node c
+        of layer i + 1, the set of t[1:] over the t in S with t[0] >= hi. Equal sets share one node.
+        """
+        if not self.tuples:
+            raise ContractError("Hilbert function of an empty multidegree set is undefined")
+        layers, sets = [], [self.tuples]
+        for _ in range(len(next(iter(self.tuples)))):
+            index: dict[frozenset[tuple[int, ...]], int] = {}
+            layers.append([])
+            for S in sets:
+                tops = sorted({t[0] for t in S})
+                layers[-1].append([
+                    (lo, hi, index.setdefault(frozenset([t[1:] for t in S if t[0] >= hi]), len(index)))
+                    for lo, hi in zip([-1, *tops], tops)
+                ])
+            sets = list(index)
+        return layers
 
 
 def intersection_dims(kernels: Sequence[CoordinateSubspace]) -> DIndexTable:
@@ -175,23 +199,23 @@ def hilbert_function(mset: MultidegreeSet, u: Sequence[int]) -> int:
     Sum over the down-closure of the multidegree tuples of
     prod_i c(u_i, k_i), with c(u, 0) = 1 and c(u, k) = binom(u + k - 1, k).
     Summing c over a box k <= l gives binom(u + l, l), so this is the
-    inclusion-exclusion over the boxes below the tuples, at a cost
-    polynomial in the size of the down-closure. Exact big-integer arithmetic.
+    inclusion-exclusion over the boxes below the tuples. It is summed over the layers
+    of ``_down_closure``: an entry's range lo < k <= hi gives
+    binom(u + hi, hi) - binom(u + lo, lo), the second term 0 at lo = -1.
+    Exact big-integer arithmetic.
     """
-    tuples = mset.sorted_tuples()
-    if not tuples:
-        raise ContractError("Hilbert function of an empty multidegree set is undefined")
-    n = len(tuples[0])
-    u = tuple(int(v) for v in u)
-    if len(u) != n:
-        raise ContractError(f"expected {n} grading variables, got {len(u)}")
-    if any(v < 0 for v in u):
+    layers = mset._down_closure
+    u = tuple(map(int, u))
+    if len(u) != len(layers):
+        raise ContractError(f"expected {len(layers)} grading variables, got {len(u)}")
+    if min(u, default=0) < 0:
         raise ContractError(f"grading variables must be nonnegative: {u}")
-
-    # after step i, down is closed under lowering coordinates 0..i
-    down = set(tuples)
-    for i in range(n):
-        down |= {k[:i] + (v,) + k[i + 1 :] for k in down for v in range(k[i])}
-    return sum(
-        prod(comb(u[i] + k[i] - 1, k[i]) if k[i] else 1 for i in range(n)) for k in down
-    )
+    values = [1]
+    for v, layer in zip(reversed(u), reversed(layers)):
+        below, values = values, []
+        for node in layer:
+            total = 0
+            for lo, hi, c in node:
+                total += (comb(v + hi, hi) - (comb(v + lo, lo) if lo >= 0 else 0)) * below[c]
+            values.append(total)
+    return values[0]

@@ -1,6 +1,6 @@
 """Brute-force reference computations used to cross-check the fast paths.
 
-These deliberately avoid the residuation projection, the memoised minor
+These deliberately avoid the covering test on argmin masks, the memoised minor
 expansion, the neighbour lookups and the hull-point signature machinery,
 so that each check in the test suite and in ``verify`` compares two
 independent routes.

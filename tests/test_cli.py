@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -242,6 +244,14 @@ class TestVerify:
         assert sum(failures.values()) == 1
 
 
+# Each raised UnicodeDecodeError, RecursionError or ValueError out of ``json.load``.
+UNDECODABLE = {
+    "not_utf8": b'\xff\xfe{"d":2}',
+    "deep_array": b"[" * 100_000 + b"]" * 100_000,
+    "long_integer": b'{"d": 2, "points": [[0, ' + b"9" * 5001 + b"]]}",
+}
+
+
 class TestErrorHandling:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["classify", str(tmp_path / "nope.json")])
@@ -286,3 +296,59 @@ class TestErrorHandling:
         code, out, err = run(capsys, ["hull", str(path)])
         assert (code, out) == (2, "")
         assert json.loads(err)["error"]["code"] == "parse"
+
+    @pytest.mark.parametrize("name", sorted(UNDECODABLE))
+    def test_undecodable_document_is_one_parse_record(self, tmp_path, name):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(UNDECODABLE[name])
+        paths = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        result = subprocess.run(
+            [sys.executable, "-m", "mustafin.cli", "hull", str(path)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert (result.returncode, result.stdout) == (2, ""), result.stderr
+        assert "Traceback" not in result.stderr
+        [record] = result.stderr.splitlines()
+        assert json.loads(record)["error"]["code"] == "parse"
+
+
+COORDS = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def valid_documents(draw):
+    d = draw(st.integers(min_value=2, max_value=4))
+    points = draw(st.lists(st.lists(COORDS, min_size=d, max_size=d), min_size=1, max_size=4))
+    return {"d": d, "points": points}
+
+
+MALFORMED_FIELDS = st.one_of(JSON_VALUES, st.lists(st.lists(st.one_of(COORDS, st.booleans(), st.floats()))))
+DOCUMENTS = st.one_of(
+    st.binary(max_size=40),
+    JSON_VALUES.map(lambda value: json.dumps(value).encode()),
+    valid_documents().map(lambda doc: json.dumps(doc).encode()),
+    st.fixed_dictionaries(
+        {},
+        optional={"d": st.one_of(st.integers(-2, 5), MALFORMED_FIELDS), "points": MALFORMED_FIELDS, "label": JSON_VALUES},
+    ).map(lambda doc: json.dumps(doc).encode()),
+    st.tuples(valid_documents(), st.sampled_from(["d", "points", "label"]), JSON_VALUES).map(
+        lambda case: json.dumps({**case[0], case[1]: case[2]}).encode()
+    ),
+)
+
+
+@given(DOCUMENTS)
+@settings(max_examples=150, deadline=None)
+def test_main_ends_every_document_in_an_exit_code(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_bytes(content)
+    for command in ("hull", "classify", "graph", "gp", "verify"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path)])
+        assert code in (0, 2, 3), (command, err.getvalue())
+        records = err.getvalue().splitlines()
+        assert len(records) <= 1 and (code == 0) == (records == []), (command, records)
+        if records:
+            assert set(json.loads(records[0])) == {"error"}

@@ -4,7 +4,9 @@
 are not tested for hull membership again, a CLI classification report enumerates the hull and
 tests general position once, and ``verify`` classifies once. ``classify`` and ``locate_by_multidegree``
 read the argmin sets the enumeration carries, and ``classify`` builds each distinct argmin set's kernel
-once and each argmin type's multidegrees once. The counts come from wrapping the functions
+once and each argmin type's multidegrees once. ``reduction_profile``, ``describe_vertex`` and
+``skeleton_signature`` compute a point's argmin masks once and make no separate membership test, and
+a ``MultidegreeSet`` builds its down-closure once. The counts come from wrapping the functions
 at every ``mustafin`` module attribute that holds them. ``main`` builds its parser once per process,
 and a call's options do not leak into the next call.
 """
@@ -93,17 +95,45 @@ def test_locate_by_multidegree_tests_membership_only_in_the_scan(monkeypatch):
 
 
 def test_classify_and_locate_read_the_carried_argmin_sets(monkeypatch):
-    argmin_scans = record_calls(monkeypatch, hull._argmin_sets)
+    argmin_scans = record_calls(monkeypatch, hull._argmin_masks)
     fiber.classify(CONFIG)
     for m in ((3, 0, 0, 0), (1, 1, 1, 0), (0, 1, 0, 2)):
         hull.locate_by_multidegree(CONFIG, m)
     assert argmin_scans == []
 
 
+def test_single_points_compute_their_argmin_masks_once(monkeypatch):
+    argmin_scans = record_calls(monkeypatch, hull._argmin_masks)
+    membership_tests = record_calls(monkeypatch, hull.contains)
+    v = hull.lattice_points(CONFIG).ordered[7]
+    for single_point in (fiber.reduction_profile, fiber.describe_vertex, hull.skeleton_signature):
+        argmin_scans.clear()
+        single_point(CONFIG, v)
+        assert argmin_scans == [(CONFIG, v)], single_point
+    assert membership_tests == []
+
+
+def test_hilbert_builds_the_down_closure_once_per_set(monkeypatch):
+    closure = vars(multidegree.MultidegreeSet)["_down_closure"]
+    build, builds = closure.func, []
+
+    def counted(mset):
+        builds.append(mset)
+        return build(mset)
+
+    monkeypatch.setattr(closure, "func", counted)
+    mset = fiber.describe_vertex(CONFIG, hull.lattice_points(CONFIG).ordered[7]).multidegrees
+    copy = multidegree.MultidegreeSet(mset.p, mset.tuples)
+    for u in ((0,) * CONFIG.n, (1, 2, 0, 3), (4, 0, 1, 1)):
+        assert multidegree.hilbert_function(mset, u) == multidegree.hilbert_function(copy, u)
+    assert len(builds) == 2 and builds[0] is mset and builds[1] is copy
+    assert mset == copy and hash(mset) == hash(copy) and repr(mset) == repr(copy)
+
+
 def test_classify_builds_each_argmin_set_and_each_type_once(monkeypatch):
     points = hull.lattice_points(CONFIG)
-    types = {hull._argmin_sets(CONFIG, v) for v in points}
-    sets = {J for argmins in types for J in argmins}
+    types = {hull._argmin_masks(CONFIG, v) for v in points}
+    sets = {mask for masks in types for mask in masks}
     kernels = []
     post_init = multidegree.CoordinateSubspace.__post_init__
 

@@ -14,8 +14,8 @@ from mustafin import (
     tropical_combination,
 )
 from mustafin.errors import ContractError, DimensionError, DomainError
-from mustafin.hull import _argmin_sets, residuation_projection
-from mustafin.oracles import brute_force_hull, skeleton_scan
+from mustafin.hull import _argmin_masks
+from mustafin.oracles import all_box_points, brute_force_hull, skeleton_scan
 
 from strategies import compositions, configurations
 
@@ -38,11 +38,23 @@ class TestContains:
         x = normalize((0, -2, -3))
         assert not contains(collinear_triple, x)
         assert x not in brute_force_hull(collinear_triple)
-        assert residuation_projection(collinear_triple, x)[1] == -1
 
     def test_dimension_mismatch(self, collinear_triple):
         with pytest.raises(DimensionError):
             contains(collinear_triple, normalize((0, 1)))
+
+    @given(configurations(max_d=5, max_n=5, lo=-3, hi=3), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_agrees_with_brute_force_on_box_points(self, cfg, data):
+        brute = brute_force_hull(cfg)
+        box = all_box_points(cfg)
+        probes = data.draw(st.lists(st.sampled_from(box), min_size=1, max_size=12))
+        for x in sorted(brute) + probes:
+            assert contains(cfg, x) == (x in brute), x
+
+    def test_argmin_masks_of_an_outsider(self, collinear_triple):
+        # v_i - (0, -2, -3) is (0, 1, 1), (0, 0, -1), (0, -1, -3): coordinate 2 is in no argmin set
+        assert _argmin_masks(collinear_triple, normalize((0, -2, -3))) == (0b001, 0b100, 0b100)
 
     @given(configurations(), st.data())
     def test_closed_under_combinations(self, cfg, data):
@@ -84,7 +96,7 @@ class TestLatticePoints:
         hull_set = lattice_points(cfg)
         assert len(hull_set.argmin_masks) == len(hull_set)
         for x, masks in zip(hull_set, hull_set.argmin_masks):
-            assert masks == tuple(sum(1 << (j - 1) for j in J) for J in _argmin_sets(cfg, x)), x
+            assert masks == _argmin_masks(cfg, x), x
         assert list(hull_set) == sorted(brute_force_hull(cfg))
 
 
