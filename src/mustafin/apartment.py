@@ -69,7 +69,7 @@ def is_adjacent(u: TorusPoint, v: TorusPoint) -> bool:
         raise DimensionError(f"point dimensions differ: {len(u)} vs {len(v)}")
     if u == v:
         raise ContractError("adjacency is only defined for distinct classes")
-    diff = [v[j] - u[j] for j in range(len(u))]
+    diff = [b - a for a, b in zip(u.coords, v.coords)]
     return max(diff) - min(diff) == 1
 
 

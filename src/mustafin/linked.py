@@ -5,7 +5,10 @@ Each directed edge carries the 0/1 diagonal of its special-fiber map: for
 u -> v with difference shifted to a zero-one vector w, the diagonal is
 supported on the zero set of w (the inclusion direction), and the opposite
 direction gets the complement. Composing diagonals along paths either
-reproduces the minimal-path map or vanishes identically.
+reproduces the minimal-path map or vanishes identically. The minimal path
+from x to y is the closed form min(c + x, y), c an integer between the
+smallest and largest entry of y - x (`segment_lattice_path`); its
+independent route is `oracles.brute_force_hull` of the pair {x, y}.
 """
 
 from __future__ import annotations
@@ -17,23 +20,19 @@ from operator import add
 from typing import Sequence
 
 from .apartment import is_adjacent
-from .errors import ContractError, DomainError, InvariantViolationError
+from .errors import ContractError, DimensionError, DomainError
 from .hull import contains, lattice_points
-from .tropical import Configuration, TorusPoint, normalize, segment
+from .tropical import Configuration, TorusPoint, _segment_points
 
 
 class _ZeroPathMap:
-    """Distinguished outcome of a path whose composed map vanishes."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Distinguished outcome of a path whose composed map vanishes; ``ZERO`` is its one instance."""
 
     def __repr__(self) -> str:
         return "ZERO"
+
+    def __reduce__(self) -> str:
+        return "ZERO"  # copy and pickle hand back the module's ZERO
 
 
 ZERO = _ZeroPathMap()
@@ -83,7 +82,7 @@ def step_diagonal(u: TorusPoint, v: TorusPoint) -> tuple[int, ...]:
     """Diagonal of the edge map u -> v: 1 where the shifted difference is 0."""
     if not is_adjacent(u, v):
         raise ContractError(f"{u.coords} and {v.coords} are not adjacent")
-    diff = [v[j] - u[j] for j in range(len(u))]
+    diff = [b - a for a, b in zip(u.coords, v.coords)]
     lo = min(diff)
     return tuple(1 if value == lo else 0 for value in diff)
 
@@ -161,45 +160,28 @@ def exactness_check(graph: LinkedGraph, path: Sequence[TorusPoint]) -> ChainExac
         return frozenset(j for j, a in enumerate(diag) if a)
 
     full = frozenset(range(graph.d))
-    cond1 = tuple(full - supp(f) == supp(g) for f, g in zip(forward, backward))
-    cond2 = tuple(full - supp(g) == supp(f) for f, g in zip(forward, backward))
-    cond3 = tuple(
-        not (supp(forward[i - 1]) & (full - supp(forward[i])))
-        for i in range(1, len(forward))
-    )
-    cond4 = tuple(
-        not (supp(backward[i]) & (full - supp(backward[i - 1])))
-        for i in range(1, len(backward))
-    )
-    return ChainExactnessReport(cond1, cond2, cond3, cond4)
+    # Conditions (1) and (2) are one test: for subsets F, G of [d], F^c = G iff G^c = F.
+    complementary = tuple(full - supp(f) == supp(g) for f, g in zip(forward, backward))
+    # (3) and (4) as support nesting: im f_{i-1} in im f_i and im g_i in im g_{i-1}.
+    cond3 = tuple(supp(f) <= supp(later) for f, later in zip(forward, forward[1:]))
+    cond4 = tuple(supp(later) <= supp(g) for g, later in zip(backward, backward[1:]))
+    return ChainExactnessReport(complementary, complementary, cond3, cond4)
 
 
 def segment_lattice_path(x: TorusPoint, y: TorusPoint) -> list[TorusPoint]:
-    """Consecutive adjacent lattice points along the tropical segment x -> y.
+    """Lattice points of the tropical segment x -> y in order: a minimal path in the linked graph.
 
-    Expands each classical piece of the segment into unit steps of its
-    zero-one direction; this walk is a minimal path in the linked graph.
+    With delta = y - x they are min(c + x, y) for the integers c from min(delta) to max(delta):
+    - from c to c + 1 exactly the coordinates with delta_j > c go up by one, a nonempty proper
+      subset for min(delta) <= c < max(delta), so consecutive points are adjacent;
+    - the path has max(delta) - min(delta) steps, the building distance from x to y;
+    - a point min(c + x, y) of the segment is a lattice class only at integer c.
+    For x = y the path is [x].
     """
-    if x == y:
-        return [x]
-    path = [x]
-    for target in segment(x, y)[1:]:
-        current = path[-1]
-        diff = [target[j] - current[j] for j in range(len(x))]
-        lo = min(diff)
-        shifted = [value - lo for value in diff]
-        length = max(shifted)
-        unit = [1 if value else 0 for value in shifted]
-        if any(value not in (0, length) for value in shifted):
-            raise InvariantViolationError(
-                f"segment step {diff} from {current.coords} is not a scaled zero-one vector"
-            )
-        for _ in range(length):
-            current = normalize(tuple(c + a for c, a in zip(current, unit)))
-            path.append(current)
-        if path[-1] != target:
-            raise InvariantViolationError("segment walk missed its breakpoint")
-    return path
+    if len(x) != len(y):
+        raise DimensionError(f"endpoint dimensions differ: {len(x)} vs {len(y)}")
+    delta = [b - a for a, b in zip(x.coords, y.coords)]
+    return _segment_points(x, y, range(min(delta), max(delta) + 1))
 
 
 def simple_root_maps(config: Configuration, root: TorusPoint) -> list[tuple[int, ...]]:

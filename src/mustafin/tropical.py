@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ContractError, DegenerateSegmentError, DimensionError
 
@@ -101,13 +101,14 @@ def segment(x: TorusPoint, y: TorusPoint) -> list[TorusPoint]:
         raise DimensionError(f"endpoint dimensions differ: {len(x)} vs {len(y)}")
     if x == y:
         raise DegenerateSegmentError(f"segment endpoints coincide at {x.coords}")
-    delta = [y[j] - x[j] for j in range(len(x))]
-    breakpoints: list[TorusPoint] = []
-    for c in sorted(set(delta)):
-        point = normalize(tuple(min(c + x[j], y[j]) for j in range(len(x))))
-        if not breakpoints or breakpoints[-1] != point:
-            breakpoints.append(point)
-    return breakpoints
+    # With delta = y - x, min(c + x, y) - x - c = min(0, delta - c) is 0 where delta is largest and
+    # min(delta) - c where it is smallest: distinct c give distinct classes, so none repeats.
+    return _segment_points(x, y, sorted({b - a for a, b in zip(x.coords, y.coords)}))
+
+
+def _segment_points(x: TorusPoint, y: TorusPoint, cs: Iterable[int]) -> list[TorusPoint]:
+    """The points min(c + x, y) of the tropical segment from ``x`` to ``y``, one per c in ``cs``."""
+    return [normalize([min(c + a, b) for a, b in zip(x.coords, y.coords)]) for c in cs]
 
 
 def _minor_determinants(rows: Sequence[Sequence[int]]) -> Callable[..., tuple[int, int]]:

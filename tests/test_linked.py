@@ -1,9 +1,13 @@
+import copy
+import pickle
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from mustafin import (
     ZERO,
+    Configuration,
     LinkedGraph,
     build_graph,
     configuration,
@@ -14,12 +18,14 @@ from mustafin import (
     normalize,
     path_map,
     reduction_profile,
+    segment,
     segment_lattice_path,
     simple_root_maps,
 )
-from mustafin.errors import ContractError, DomainError
+from mustafin.apartment import is_adjacent
+from mustafin.errors import ContractError, DimensionError, DomainError
 from mustafin.linked import step_diagonal
-from mustafin.oracles import edge_maps_by_pair_scan
+from mustafin.oracles import brute_force_hull, edge_maps_by_pair_scan
 
 from strategies import configurations
 
@@ -27,6 +33,28 @@ from strategies import configurations
 @pytest.fixture
 def pair_graph():
     return build_graph(configuration(2, [(0, 0), (0, 1)]))
+
+
+@st.composite
+def endpoint_pairs(draw):
+    """Two classes with d in 2..6 and coordinates in [-4, 4]; y = x about half the time."""
+    d = draw(st.integers(min_value=2, max_value=6))
+    points = st.tuples(*[st.integers(min_value=-4, max_value=4)] * (d - 1))
+    x = draw(points.map(lambda row: normalize((0,) + row)))
+    return x, draw(st.one_of(st.just(x), points.map(lambda row: normalize((0,) + row))))
+
+
+@st.composite
+def diagonal_chains(draw):
+    """A path u_0, ..., u_k with arbitrary 0/1 diagonals on both directions of each edge."""
+    d = draw(st.integers(min_value=2, max_value=4))
+    k = draw(st.integers(min_value=1, max_value=4))
+    path = [normalize((0, i)) for i in range(k + 1)]
+    diagonal = st.tuples(*[st.integers(min_value=0, max_value=1)] * d)
+    maps = {}
+    for u, v in zip(path, path[1:]):
+        maps[(u, v)], maps[(v, u)] = draw(diagonal), draw(diagonal)
+    return LinkedGraph(d, tuple(path), maps), path
 
 
 def _simple_paths(graph, start, end, cap):
@@ -105,6 +133,10 @@ class TestPathMap:
         u, v = pair_graph.vertices
         assert path_map(pair_graph, [u, v, u]) is ZERO
 
+    def test_zero_survives_copy_and_pickle(self):
+        assert copy.copy(ZERO) is ZERO and copy.deepcopy(ZERO) is ZERO
+        assert pickle.loads(pickle.dumps(ZERO)) is ZERO
+
     def test_non_path_rejected(self, collinear_triple):
         graph = build_graph(collinear_triple)
         far = (normalize((0, -1, -2)), normalize((0, -3, -6)))
@@ -179,6 +211,31 @@ class TestExactness:
         assert report.im_f_avoids_ker_f == (False,)
         assert not report.all_ok
 
+    def test_non_complementary_edge_fails_conditions_one_and_two(self):
+        u, v = normalize((0, 0)), normalize((0, 1))
+        graph = LinkedGraph(2, (u, v), {(u, v): (1, 0), (v, u): (1, 0)})
+        report = exactness_check(graph, [u, v])
+        assert report.ker_f_is_im_g == (False,)
+        assert report.ker_g_is_im_f == (False,)
+        assert not report.all_ok
+
+    @given(diagonal_chains())
+    @settings(max_examples=60, deadline=None)
+    def test_conditions_follow_their_definitions(self, chain):
+        graph, path = chain
+        report = exactness_check(graph, path)
+        image = [
+            [{j for j, a in enumerate(graph.diagonal(u, v)) if a} for u, v in zip(path, path[1:])],
+            [{j for j, a in enumerate(graph.diagonal(v, u)) if a} for u, v in zip(path, path[1:])],
+        ]
+        kernel = [[set(range(graph.d)) - im for im in images] for images in image]
+        f, g = 0, 1
+        edges, interior = range(len(path) - 1), range(1, len(path) - 1)
+        assert report.ker_f_is_im_g == tuple(kernel[f][i] == image[g][i] for i in edges)
+        assert report.ker_g_is_im_f == tuple(kernel[g][i] == image[f][i] for i in edges)
+        assert report.im_f_avoids_ker_f == tuple(not image[f][i - 1] & kernel[f][i] for i in interior)
+        assert report.im_g_avoids_ker_g == tuple(not image[g][i] & kernel[g][i - 1] for i in interior)
+
     def test_needs_an_edge(self, pair_graph):
         with pytest.raises(ContractError):
             exactness_check(pair_graph, [pair_graph.vertices[0]])
@@ -222,6 +279,24 @@ class TestSegmentLatticePath:
     def test_trivial_walk(self):
         p = normalize((0, 3, 1))
         assert segment_lattice_path(p, p) == [p]
+
+    def test_endpoints_of_different_lengths_rejected(self):
+        with pytest.raises(DimensionError):
+            segment_lattice_path(normalize((0, 1)), normalize((0, 1, 2)))
+
+    @given(endpoint_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_path_is_the_lattice_segment(self, pair):
+        x, y = pair
+        walk = segment_lattice_path(x, y)
+        delta = [b - a for a, b in zip(x.coords, y.coords)]
+        assert walk[0] == x and walk[-1] == y
+        assert len(walk) == max(delta) - min(delta) + 1
+        assert all(is_adjacent(u, v) for u, v in zip(walk, walk[1:]))
+        if x != y:
+            assert set(walk) == brute_force_hull(Configuration(len(x), (x, y)))
+            rest = iter(walk)
+            assert all(corner in rest for corner in segment(x, y))  # a subsequence, in order
 
 
 class TestGraphConnectivity:

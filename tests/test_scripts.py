@@ -1,5 +1,6 @@
 """The experiment scripts run to completion and report their checks."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -24,3 +25,22 @@ def test_survey_counts():
 def test_worked_examples():
     result = run_script("worked_examples.py")
     assert result.returncode == 0, result.stderr
+
+
+def load_mutants():
+    spec = importlib.util.spec_from_file_location("mutants", SCRIPTS / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    return mutants
+
+
+def test_mutants_runs_one_row_end_to_end():
+    mutants = load_mutants()
+    assert mutants.run_mutant(*mutants.MUTANTS[2]) == "killed"
+
+
+def test_every_mutant_old_text_occurs_once():
+    mutants = load_mutants()
+    for file, old, new, _ in mutants.MUTANTS:
+        assert old != new
+        assert (mutants.ROOT / file).read_text().count(old) == 1, (file, old)
