@@ -3,12 +3,13 @@
 
 Each row of MUTANTS holds a file, an old text that occurs exactly once in it,
 the new text that replaces it, and a pytest selector. For each row the script
-copies ``src/`` and ``tests/`` to a temporary directory, applies the mutant
-there and runs the selector in a subprocess. The mutant is killed when pytest
-reports failing tests. The script exits 1 if a mutant survives, if its selector
-does not run (a collection or usage error), or if an old text is missing or
-occurs more than once, so a refactor has to update the table rather than drop
-a row silently.
+copies ``src/``, ``tests/`` and ``sample_configs/`` to a temporary directory,
+applies the mutant there and runs the selector in a subprocess. The mutant is
+killed when pytest reports failing tests. The script first runs every selector
+on an unmutated copy and exits 1 unless they all pass. It also exits 1 if a
+mutant survives, if its selector does not run (a collection or usage error), or
+if an old text is missing or occurs more than once, so a refactor has to update
+the table rather than drop a row silently.
 
     python3 scripts/mutants.py
 """
@@ -78,7 +79,131 @@ MUTANTS = [
         "except json.JSONDecodeError as exc:",
         "tests/test_cli.py::TestErrorHandling::test_undecodable_document_is_one_parse_record",
     ),
+    (
+        "src/mustafin/fiber.py",
+        "if m in claims:",
+        "if False:",
+        "tests/test_fiber.py::TestMultidegreePartition::test_repeated_component_is_an_invariant_violation",
+    ),
+    (
+        "src/mustafin/fiber.py",
+        "if missing or extra:",
+        "if False:",
+        "tests/test_fiber.py::TestMultidegreePartition::test_dropped_component_is_an_invariant_violation",
+    ),
+    (
+        "src/mustafin/fiber.py",
+        "if gp != saturated:",
+        "if False:",
+        "tests/test_fiber.py::TestMonomialType::test_disagreeing_general_position_is_an_invariant_violation",
+    ),
+    (
+        "src/mustafin/fiber.py",
+        "config.d - 1 in dims",
+        "config.d - 2 in dims",
+        "tests/test_fiber.py::TestStructuralIdentities::test_primary_exactly_at_generators",
+    ),
+    (
+        "src/mustafin/fiber.py",
+        "if profile.argmins not in types:",
+        "if True:",
+        "tests/test_compute_once.py::test_classify_builds_each_argmin_set_and_each_type_once",
+    ),
+    (
+        "src/mustafin/multidegree.py",
+        "table.by_mask[1 << i | 1 << j] > 0:",
+        "table.by_mask[1 << i | 1 << j] >= 0:",
+        "tests/test_multidegree.py::TestLevelScan::test_matches_exhaustive_levels",
+    ),
+    (
+        "src/mustafin/multidegree.py",
+        "if d - sums[mask] <= table.by_mask[mask]:",
+        "if d - sums[mask] < table.by_mask[mask]:",
+        "tests/test_multidegree.py::TestLevelScan::test_matches_exhaustive_levels",
+    ),
+    (
+        "src/mustafin/multidegree.py",
+        "        for mask in range(1, 1 << n):\n            low",
+        "        for mask in range(1, (1 << n) - 1):\n            low",
+        "tests/test_multidegree.py::TestAdmissibleTuples::test_every_output_satisfies_every_inequality",
+    ),
+    (
+        "src/mustafin/multidegree.py",
+        "if d in single:",
+        "if False:",
+        "tests/test_multidegree.py::TestDimensionP::test_full_kernel_is_rejected",
+    ),
+    (
+        "src/mustafin/multidegree.py",
+        "cluster = [new if c == old else c for c in cluster]",
+        "cluster[i] = new",
+        "tests/test_multidegree.py::TestDimensionP::test_overlap_clusters_merge_transitively",
+    ),
+    (
+        "src/mustafin/multidegree.py",
+        "(comb(v + hi, hi) - (comb(v + lo, lo) if lo >= 0 else 0))",
+        "comb(v + hi, hi)",
+        "tests/test_multidegree.py::TestHilbertFunction::test_worked_two_tuple_value",
+    ),
+    (
+        "src/mustafin/cli.py",
+        "all(type(v) is int for v in obj)",
+        "all(isinstance(v, int) for v in obj)",
+        "tests/test_cli.py::test_dump_equals_the_json_encoder",
+    ),
+    (
+        "src/mustafin/cli.py",
+        'encode_basestring_ascii(k) + ": " +',
+        'encode_basestring_ascii(k) + ":" +',
+        "tests/test_cli.py::test_dump_equals_the_json_encoder",
+    ),
+    (
+        "src/mustafin/cli.py",
+        "@cache\ndef build_parser",
+        "def build_parser",
+        "tests/test_compute_once.py::test_main_builds_the_parser_once_per_process",
+    ),
+    (
+        "src/mustafin/hull.py",
+        "m | bit if t == u",
+        "m if t == u",
+        "tests/test_hull.py::TestLatticePoints::test_carried_masks_are_the_argmin_sets",
+    ),
+    (
+        "src/mustafin/hull.py",
+        "m if t < u else",
+        "m if t <= u else",
+        "tests/test_hull.py::TestLatticePoints::test_carried_masks_are_the_argmin_sets",
+    ),
+    (
+        "src/mustafin/linked.py",
+        "if v.coords < u.coords:",
+        "if u.coords < v.coords:",
+        "tests/test_linked.py::TestBuildGraph::test_two_classes_in_dimension_two",
+    ),
+    (
+        "src/mustafin/linked.py",
+        "key=lambda edge: edge[1].coords",
+        "key=lambda edge: edge[0].coords",
+        "tests/test_linked.py::TestBuildGraph::test_edges_and_neighbors_equal_scans_of_the_edge_maps",
+    ),
 ]
+
+
+def pytest_in_copy(selectors: list[str], file: str | None = None, text: str | None = None) -> int:
+    """pytest's exit code for ``selectors`` in a temporary copy of the tree, ``file`` holding ``text`` if given."""
+    with tempfile.TemporaryDirectory() as tmp:
+        # The golden tests read sample_configs/, so the copy needs it besides src/ and tests/.
+        for tree in ("src", "tests", "sample_configs"):
+            shutil.copytree(ROOT / tree, Path(tmp, tree), ignore=shutil.ignore_patterns("__pycache__"))
+        if file is not None:
+            Path(tmp, file).write_text(text)
+        paths = [str(Path(tmp, "src")), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *selectors],
+            cwd=tmp, env=env, capture_output=True, text=True,
+        ).returncode
 
 
 def run_mutant(file: str, old: str, new: str, selector: str) -> str:
@@ -86,21 +211,17 @@ def run_mutant(file: str, old: str, new: str, selector: str) -> str:
     text = (ROOT / file).read_text()
     if text.count(old) != 1:
         return f"old text occurs {text.count(old)} times"
-    with tempfile.TemporaryDirectory() as tmp:
-        for tree in ("src", "tests"):
-            shutil.copytree(ROOT / tree, Path(tmp, tree), ignore=shutil.ignore_patterns("__pycache__"))
-        Path(tmp, file).write_text(text.replace(old, new))
-        paths = [str(Path(tmp, "src")), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-        result = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", selector],
-            cwd=tmp, env=env, capture_output=True, text=True,
-        )
+    code = pytest_in_copy([selector], file, text.replace(old, new))
     # pytest exits 0 when every test passed and 1 when some failed; anything else did not run.
-    return {0: "survived", 1: "killed"}.get(result.returncode, f"pytest exited {result.returncode}")
+    return {0: "survived", 1: "killed"}.get(code, f"pytest exited {code}")
 
 
 def main() -> int:
+    # A selector that already fails on the unmutated copy would count every mutant of its row as killed.
+    code = pytest_in_copy(sorted({selector for *_, selector in MUTANTS}))
+    if code != 0:
+        print(f"the selectors do not all pass on the unmutated tree (pytest exited {code})")
+        return 1
     failed = 0
     for file, old, new, selector in MUTANTS:
         outcome = run_mutant(file, old, new, selector)

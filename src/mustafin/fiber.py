@@ -6,17 +6,17 @@ its kernel is the complementary coordinate subspace. A hull point
 contributes an irreducible component iff the image of its joint rational
 map has full dimension d-1, which the multidegree engine decides exactly.
 
-The hull walk ``hull.lattice_points`` carries the argmin sets of every point it
-enumerates as bitmasks, and ``hull._argmin_masks`` computes them in the same format
-for single points; one routine turns masks into argmin sets and kernels for both. The
-oracles, the acceptance suite and the benchmark keep independent copies on purpose.
+The hull walk ``hull.lattice_points`` carries the argmin sets of every point it enumerates as bitmasks, and
+``hull._argmin_masks`` computes them in the same format for single points; one routine turns masks into argmin
+sets and kernels for both. Per-type fields are computed once per argmin type, and primacy is read from the
+argmin sets. The oracles, the acceptance suite and the benchmark keep independent copies on purpose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ContractError, InvariantViolationError
 from .hull import _hull_point_masks, lattice_points
@@ -94,27 +94,20 @@ def _profiles(config: Configuration, points: Sequence[TorusPoint], types: Sequen
 
 def describe_vertex(config: Configuration, v: TorusPoint) -> ComponentDescriptor:
     """Full descriptor (profile, dimension, multidegrees) of one hull point."""
-    return next(_describe(config, [reduction_profile(config, v)]))
+    return _describe(config, [reduction_profile(config, v)])[0]
 
 
-def _describe(config: Configuration, profiles: Iterable[ReductionProfile]) -> Iterator[ComponentDescriptor]:
-    """One descriptor per profile; the d_I table and M(p) are computed once per argmin type."""
-    types: dict[tuple[frozenset[int], ...], tuple[DIndexTable, MultidegreeSet]] = {}
+def _describe(config: Configuration, profiles: Sequence[ReductionProfile]) -> list[ComponentDescriptor]:
+    """One descriptor per profile; each argmin type's d_I table, p, M(p), flags and factor dimensions are computed
+    once. Primacy: x = v_i iff v_i - x is constant, iff J_i = [d], iff d - 1 is one of the factor dimensions."""
+    types = {}
     for profile in profiles:
         if profile.argmins not in types:
+            dims = tuple(len(J) - 1 for J in profile.argmins)
             table = intersection_dims(profile.kernels)
-            types[profile.argmins] = table, multidegree_set(config.d, table)
-        table, mset = types[profile.argmins]
-        yield ComponentDescriptor(
-            vertex=profile.vertex,
-            profile=profile,
-            table=table,
-            p=mset.p,
-            multidegrees=mset,
-            is_component=(mset.p == config.d - 1),
-            is_primary=(profile.vertex in config.points),
-            factor_dims=tuple(len(J) - 1 for J in profile.argmins),
-        )
+            mset = multidegree_set(config.d, table)
+            types[profile.argmins] = table, mset.p, mset, mset.p == config.d - 1, config.d - 1 in dims, dims
+    return [ComponentDescriptor(profile.vertex, profile, *types[profile.argmins]) for profile in profiles]
 
 
 def classify(config: Configuration) -> list[ComponentDescriptor]:
@@ -126,7 +119,7 @@ def classify(config: Configuration) -> list[ComponentDescriptor]:
     each distinct set becomes a frozenset and a kernel once.
     """
     hull = lattice_points(config)
-    return list(_describe(config, _profiles(config, hull.ordered, hull.argmin_masks)))
+    return _describe(config, _profiles(config, hull.ordered, hull.argmin_masks))
 
 
 def multidegree_partition(

@@ -7,6 +7,8 @@ from random import Random
 from .errors import ContractError
 from .tropical import Configuration, TorusPoint, is_general_position, normalize
 
+MAX_TRIES = 10_000
+
 
 def random_point(rng: Random, d: int, lo: int, hi: int) -> TorusPoint:
     """Normalized point with free coordinates drawn uniformly from [lo, hi]."""
@@ -24,24 +26,20 @@ def random_configuration(rng: Random, d: int, n: int, lo: int, hi: int) -> Confi
     return Configuration(d, tuple(points))
 
 
-def random_general_position_configuration(
-    rng: Random, d: int, n: int, lo: int, hi: int, max_tries: int = 10_000
-) -> Configuration:
-    for _ in range(max_tries):
-        config = random_configuration(rng, d, n, lo, hi)
-        if is_general_position(config):
-            return config
-    raise RuntimeError(f"no general-position configuration found in {max_tries} tries")
+def random_general_position_configuration(rng: Random, d: int, n: int, lo: int, hi: int) -> Configuration:
+    return _first_draw(rng, d, n, lo, hi, True, "general-position")
 
 
-def random_degenerate_configuration(
-    rng: Random, d: int, n: int, lo: int, hi: int, max_tries: int = 10_000
-) -> Configuration:
-    for _ in range(max_tries):
+def random_degenerate_configuration(rng: Random, d: int, n: int, lo: int, hi: int) -> Configuration:
+    return _first_draw(rng, d, n, lo, hi, False, "degenerate")
+
+
+def _first_draw(rng: Random, d: int, n: int, lo: int, hi: int, generic: bool, kind: str) -> Configuration:
+    for _ in range(MAX_TRIES):
         config = random_configuration(rng, d, n, lo, hi)
-        if not is_general_position(config):
+        if is_general_position(config) == generic:
             return config
-    raise RuntimeError(f"no degenerate configuration found in {max_tries} tries")
+    raise RuntimeError(f"no {kind} configuration found in {MAX_TRIES} tries")
 
 
 def random_matrix(rng: Random, r: int, lo: int = -10, hi: int = 10) -> list[list[int]]:

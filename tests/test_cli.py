@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from mustafin import tropical
+from mustafin import fiber, hull, linked, tropical
 from mustafin.cli import _dump, main
 
 TRIPLE = {"d": 3, "points": [[0, -1, -2], [0, -2, -4], [0, -3, -6]], "label": "chain"}
@@ -68,6 +68,15 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def failed_checks(capsys, doc):
+    """Failures per check of a ``verify`` run that must exit 4 with ok false."""
+    code, out, _ = run(capsys, ["verify", doc])
+    assert code == 4
+    report = json.loads(out)
+    assert report["ok"] is False
+    return {c["name"]: c["failures"] for c in report["checks"]}
 
 
 class TestClassify:
@@ -235,13 +244,40 @@ class TestVerify:
             return wrong
 
         monkeypatch.setattr(tropical, "_minor_determinants", defective)
-        code, out, _ = run(capsys, ["verify", triple_doc])
-        assert code == 4
-        report = json.loads(out)
-        assert report["ok"] is False
-        failures = {c["name"]: c["failures"] for c in report["checks"]}
+        failures = failed_checks(capsys, triple_doc)
         assert failures["minor_determinants_vs_permutation_scan"] == 1
         assert sum(failures.values()) == 1
+
+    def test_seeded_membership_defect_fails_the_check(self, capsys, triple_doc, monkeypatch):
+        real, flipped = hull.contains, tropical.normalize(TRIPLE["points"][0])
+        monkeypatch.setattr(hull, "contains", lambda config, x: real(config, x) != (x == flipped))
+        failures = failed_checks(capsys, triple_doc)
+        assert failures["membership_vs_brute_force"] == 1
+        assert sum(failures.values()) == 1
+
+    def test_seeded_partition_defect_fails_the_check(self, capsys, triple_doc, monkeypatch):
+        real = fiber.classify
+
+        def repeated(config):
+            descriptors = real(config)
+            return descriptors + [next(desc for desc in descriptors if desc.is_component)]
+
+        monkeypatch.setattr(fiber, "classify", repeated)
+        failures = failed_checks(capsys, triple_doc)
+        assert failures["multidegree_partition_total"] == 1
+        assert sum(failures.values()) == 1
+
+    def test_seeded_root_map_defect_fails_the_check(self, capsys, triple_doc, monkeypatch):
+        real = linked.step_diagonal
+
+        def flipped(u, v):
+            diagonal = real(u, v)
+            return (1 - diagonal[0],) + diagonal[1:]
+
+        monkeypatch.setattr(linked, "step_diagonal", flipped)
+        failures = failed_checks(capsys, triple_doc)
+        assert failures.pop("root_maps_vs_reduction_profile") > 0
+        assert sum(failures.values()) == 0
 
 
 # Each raised UnicodeDecodeError, RecursionError or ValueError out of ``json.load``.
@@ -296,6 +332,13 @@ class TestErrorHandling:
         code, out, err = run(capsys, ["hull", str(path)])
         assert (code, out) == (2, "")
         assert json.loads(err)["error"]["code"] == "parse"
+
+    def test_invariant_violation_is_one_invariant_record(self, capsys, triple_doc, monkeypatch):
+        monkeypatch.setattr(fiber, "is_general_position", lambda config: not tropical.is_general_position(config))
+        code, out, err = run(capsys, ["classify", triple_doc])
+        assert (code, out) == (4, "")
+        [record] = err.splitlines()
+        assert json.loads(record)["error"]["code"] == "invariant"
 
     @pytest.mark.parametrize("name", sorted(UNDECODABLE))
     def test_undecodable_document_is_one_parse_record(self, tmp_path, name):

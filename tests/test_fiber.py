@@ -1,9 +1,11 @@
 from math import comb
 from random import Random
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import mustafin.fiber as fiber
 from mustafin import (
     classify,
     component_counts,
@@ -19,7 +21,8 @@ from mustafin import (
     skeleton_signature,
     subspace,
 )
-from mustafin.errors import ContractError, DomainError
+from mustafin.errors import ContractError, DomainError, InvariantViolationError
+from mustafin.sampling import random_degenerate_configuration, random_general_position_configuration
 
 from strategies import configurations, overlap_clusters
 
@@ -94,6 +97,19 @@ class TestMultidegreePartition:
         cfg = configuration(3, [(0, 1, 5)])
         assert multidegree_partition(cfg) == {(2,): cfg.points[0]}
 
+    def test_repeated_component_is_an_invariant_violation(self, collinear_triple):
+        descriptors = classify(collinear_triple)
+        component = next(desc for desc in descriptors if desc.is_component)
+        with pytest.raises(InvariantViolationError, match="claimed by both"):
+            multidegree_partition(collinear_triple, descriptors + [component])
+
+    def test_dropped_component_is_an_invariant_violation(self, collinear_triple):
+        descriptors = classify(collinear_triple)
+        component = next(desc for desc in descriptors if desc.is_component)
+        kept = [desc for desc in descriptors if desc is not component]
+        with pytest.raises(InvariantViolationError, match="not total: missing"):
+            multidegree_partition(collinear_triple, kept)
+
 
 class TestComponentCounts:
     def test_collinear_triple(self, collinear_triple):
@@ -113,6 +129,14 @@ class TestMonomialType:
 
     def test_degenerate_pair(self, degenerate_pair):
         assert not is_monomial_type(degenerate_pair)
+
+    def test_disagreeing_general_position_is_an_invariant_violation(
+        self, collinear_triple, degenerate_pair, monkeypatch
+    ):
+        monkeypatch.setattr(fiber, "is_general_position", lambda config: not is_general_position(config))
+        for cfg in (collinear_triple, degenerate_pair):
+            with pytest.raises(InvariantViolationError, match="secondary-count law"):
+                is_monomial_type(cfg)
 
 
 class TestRealizeComponent:
@@ -183,6 +207,14 @@ class TestStructuralIdentities:
             desc = descs[p]
             assert desc.is_component and desc.is_primary
             assert desc.profile.kernels[i].dim == 0
+
+    @given(st.integers(min_value=0, max_value=2**32), st.booleans(), st.integers(3, 4), st.integers(2, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_primary_exactly_at_generators(self, seed, generic, d, n):
+        sampler = random_general_position_configuration if generic else random_degenerate_configuration
+        cfg = sampler(Random(seed), d, n, -3, 3)
+        for desc in classify(cfg):
+            assert desc.is_primary == (desc.vertex in cfg.points)
 
     @given(configurations(min_d=3, max_d=4, min_n=2, max_n=4, lo=-4, hi=4))
     @settings(max_examples=25, deadline=None)

@@ -153,6 +153,7 @@ def exhaustive_levels(d, member_sets):
 class TestLevelScan:
     @given(kernel_member_sets())
     @example((3, [frozenset({1, 2, 3}), frozenset()]))
+    @example((4, [frozenset({3, 4}), frozenset({1, 2})]))  # disjoint argmin sets: two clusters, p = 2
     @settings(max_examples=200, deadline=None)
     def test_matches_exhaustive_levels(self, case):
         d, member_sets = case

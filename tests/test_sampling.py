@@ -2,6 +2,7 @@ from random import Random
 
 import pytest
 
+import mustafin.sampling as sampling
 from mustafin.errors import ContractError
 from mustafin.sampling import (
     random_configuration,
@@ -25,3 +26,23 @@ class TestRandomConfiguration:
             sampler(Random(0), 2, 6, -2, 2)
         with pytest.raises(ContractError):
             sampler(Random(0), 3, 1, 2, 1)
+
+    @pytest.mark.parametrize(
+        "sampler, kind",
+        [
+            (random_general_position_configuration, "general-position"),
+            (random_degenerate_configuration, "degenerate"),
+        ],
+    )
+    def test_gives_up_after_max_tries(self, sampler, kind, monkeypatch):
+        draws = []
+
+        def never_wanted(config):
+            draws.append(config)
+            return kind == "degenerate"
+
+        monkeypatch.setattr(sampling, "MAX_TRIES", 3)
+        monkeypatch.setattr(sampling, "is_general_position", never_wanted)
+        with pytest.raises(RuntimeError, match=f"^no {kind} configuration found in 3 tries$"):
+            sampler(Random(0), 3, 2, -2, 2)
+        assert len(draws) == 3

@@ -39,6 +39,11 @@ def test_mutants_runs_one_row_end_to_end():
     assert mutants.run_mutant(*mutants.MUTANTS[2]) == "killed"
 
 
+def test_golden_selector_passes_on_the_unmutated_copy():
+    mutants = load_mutants()
+    assert mutants.pytest_in_copy(["tests/test_compute_once.py::test_main_builds_the_parser_once_per_process"]) == 0
+
+
 def test_every_mutant_old_text_occurs_once():
     mutants = load_mutants()
     for file, old, new, _ in mutants.MUTANTS:
