@@ -87,7 +87,7 @@ MUTANTS = [
     ),
     (
         "src/mustafin/fiber.py",
-        "if missing or extra:",
+        "if missing:",
         "if False:",
         "tests/test_fiber.py::TestMultidegreePartition::test_dropped_component_is_an_invariant_violation",
     ),
@@ -156,6 +156,24 @@ MUTANTS = [
         'encode_basestring_ascii(k) + ": " +',
         'encode_basestring_ascii(k) + ":" +',
         "tests/test_cli.py::test_dump_equals_the_json_encoder",
+    ),
+    (
+        "src/mustafin/cli.py",
+        "keys = [desc.profile.argmins for desc in descs]",
+        "keys = [desc.p for desc in descs]",
+        "tests/test_cli.py::test_reports_are_the_oracle_trees_rendered",
+    ),
+    (
+        "src/mustafin/cli.py",
+        """(f',{FIELD}"{key}": ' for key in""",
+        """(f'{FIELD}"{key}": ' for key in""",
+        "tests/test_cli.py::test_reports_are_the_oracle_trees_rendered",
+    ),
+    (
+        "src/mustafin/cli.py",
+        'yield "[]" if start == "[" else "\\n  ]"',
+        'yield "\\n  ]"',
+        "tests/test_cli.py::test_reports_are_the_oracle_trees_rendered",
     ),
     (
         "src/mustafin/cli.py",

@@ -11,20 +11,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
 from functools import cache
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from . import fiber, hull, linked, oracles, tropical
 from .apartment import local_model_chain
-from .errors import (
-    ContractError,
-    DimensionError,
-    DomainError,
-    InvariantViolationError,
-    ParseError,
-)
+from .errors import ContractError, DimensionError, DomainError, InvariantViolationError, ParseError
 from .multidegree import hilbert_function
-from .tropical import Configuration, normalize
+from .tropical import Configuration, TorusPoint, normalize
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -71,49 +67,26 @@ def parse_vector(text: str) -> tuple[int, ...]:
         raise ParseError(f"cannot parse integer vector from {text!r}") from exc
 
 
-def classification_report(config: Configuration, echo: dict) -> dict:
+class Classification(NamedTuple):
+    """What a classify report shows, computed and checked before its first byte is written."""
+
+    echo: dict
+    descriptors: list[fiber.ComponentDescriptor]
+    counts: fiber.ComponentCounts
+    partition: dict[tuple[int, ...], TorusPoint]
+    monomial: bool
+
+
+def classification_report(config: Configuration, echo: dict) -> Classification:
     descriptors = fiber.classify(config)
     counts = fiber.component_counts(config, descriptors)
     partition = fiber.multidegree_partition(config, descriptors)
-    vertices = []
-    for desc in descriptors:
-        vertices.append(
-            {
-                "vertex": list(desc.vertex.coords),
-                "argmins": [sorted(J) for J in desc.profile.argmins],
-                "kernel_dims": [w.dim for w in desc.profile.kernels],
-                "factor_dims": list(desc.factor_dims),
-                "p": desc.p,
-                "is_component": desc.is_component,
-                "is_primary": desc.is_primary,
-                "multidegrees": [list(m) for m in desc.multidegrees.sorted_tuples()],
-            }
-        )
     # is_monomial_type is general position, checked against the secondary-count law.
-    monomial = fiber.is_monomial_type(config, descriptors)
-    return {
-        "config": echo,
-        "general_position": monomial,
-        "monomial_type": monomial,
-        "counts": {
-            "total": counts.total,
-            "primary": counts.primary,
-            "secondary": counts.secondary,
-        },
-        "hull": [list(desc.vertex.coords) for desc in descriptors],
-        "vertices": vertices,
-        "partition": [
-            {"multidegree": list(m), "vertex": list(v.coords)}
-            for m, v in sorted(partition.items())
-        ],
-    }
+    return Classification(echo, descriptors, counts, partition, fiber.is_monomial_type(config, descriptors))
 
 
-def hull_report(config: Configuration, echo: dict) -> dict:
-    return {
-        "config": echo,
-        "hull": [list(p.coords) for p in hull.lattice_points(config)],
-    }
+def hull_report(config: Configuration, echo: dict) -> tuple[dict, hull.HullLatticeSet]:
+    return echo, hull.lattice_points(config)
 
 
 def _dump(obj, newline: str = "\n") -> str:
@@ -129,67 +102,109 @@ def _dump(obj, newline: str = "\n") -> str:
     return "[" + inner + ("," + inner).join(items) + newline + "]" if obj else "[]"
 
 
+# Reports stream from fragments that _dump renders once each, per argmin type, vertex or step pattern.
+# ITEM and FIELD are the newlines before the items of a report's top-level lists and before their fields.
+# An item's head is _dump of its first fields at ITEM less END, the closing brace; VERTEX, U and V join it
+# to the values of the fields that sort after those, rendered at FIELD.
+ITEM, FIELD = "\n    ", "\n      "
+VERTEX, U, V = (f',{FIELD}"{key}": ' for key in ("vertex", "u", "v"))
+END = ITEM + "}"
+
+
+def _stream(report: dict) -> Iterator[str]:
+    """``_dump(report)`` and a newline, in chunks; a field holding an iterator lists the items it yields."""
+    sep = "{"
+    for key in sorted(report):
+        yield sep + "\n  " + encode_basestring_ascii(key) + ": "
+        sep, value = ",", report[key]
+        if not isinstance(value, Iterator):
+            yield _dump(value, "\n  ")
+            continue
+        start = "["
+        for item in value:
+            yield start + ITEM + item
+            start = ","
+        yield "[]" if start == "[" else "\n  ]"
+    yield "\n}\n"
+
+
+def classification_chunks(report: Classification) -> Iterator[str]:
+    """The classify JSON; a type's fields before "vertex" are rendered once, from any descriptor of that type."""
+    descs = report.descriptors
+    keys = [desc.profile.argmins for desc in descs]
+    heads = {}
+    for key, desc in dict(zip(keys, descs)).items():
+        fields = {"argmins": [sorted(J) for J in desc.profile.argmins], "factor_dims": desc.factor_dims,
+                  "is_component": desc.is_component, "is_primary": desc.is_primary,
+                  "kernel_dims": [w.dim for w in desc.profile.kernels],
+                  "multidegrees": desc.multidegrees.sorted_tuples(), "p": desc.p}
+        heads[key] = _dump(fields, ITEM)[: -len(END)]
+    return _stream({
+        "config": report.echo,
+        "counts": report.counts._asdict(),
+        "general_position": report.monomial,
+        "hull": (_dump(desc.vertex.coords, ITEM) for desc in descs),
+        "monomial_type": report.monomial,
+        "partition": [{"multidegree": m, "vertex": v.coords} for m, v in sorted(report.partition.items())],
+        "vertices": (heads[k] + VERTEX + _dump(d.vertex.coords, FIELD) + END for k, d in zip(keys, descs)),
+    })
+
+
+def _edges(graph: linked.LinkedGraph) -> Iterator[str]:
+    """Edge items; each step pattern's two diagonals are rendered once, and each vertex once at FIELD."""
+    heads, maps = {}, graph.edge_maps
+    at_field = {v.coords: _dump(v.coords, FIELD) for v in graph.vertices}
+    for u, v in graph.edges:
+        pattern = maps[u, v], maps[v, u]
+        if pattern not in heads:
+            heads[pattern] = _dump({"backward": pattern[1], "forward": pattern[0]}, ITEM)[: -len(END)]
+        yield heads[pattern] + U + at_field[u.coords] + V + at_field[v.coords] + END
+
+
 def _table(rows: list[list[str]], header: list[str]) -> str:
     widths = [max(len(str(cell)) for cell in col) for col in zip(header, *rows)]
-    lines = ["  ".join(str(cell).ljust(w) for cell, w in zip(header, widths))]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
+    lines = [header, ["-" * w for w in widths], *rows]
+    return "\n".join("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)) for row in lines)
 
 
 def _vec(values) -> str:
     return "(" + ",".join(str(v) for v in values) + ")"
 
 
-def render_classification_table(report: dict) -> str:
-    rows = []
-    for entry in report["vertices"]:
-        rows.append(
-            [
-                _vec(entry["vertex"]),
-                _vec(entry["factor_dims"]),
-                _vec(entry["kernel_dims"]),
-                str(entry["p"]),
-                "yes" if entry["is_component"] else "no",
-                "primary" if entry["is_primary"] else ("secondary" if entry["is_component"] else "-"),
-                " ".join(_vec(m) for m in entry["multidegrees"]),
-            ]
-        )
+def render_classification_table(report: Classification) -> str:
+    rows = [
+        [_vec(desc.vertex.coords), _vec(desc.factor_dims), _vec(w.dim for w in desc.profile.kernels), str(desc.p),
+         "yes" if desc.is_component else "no",
+         "primary" if desc.is_primary else ("secondary" if desc.is_component else "-"),
+         " ".join(_vec(m) for m in desc.multidegrees.sorted_tuples())]
+        for desc in report.descriptors
+    ]
     header = ["vertex", "factor_dims", "kernel_dims", "p", "component", "kind", "multidegrees"]
-    counts = report["counts"]
-    lines = [
+    counts, partition = report.counts, sorted(report.partition.items())
+    return "\n".join([
         _table(rows, header),
         "",
-        f"components: {counts['total']} ({counts['primary']} primary, {counts['secondary']} secondary)",
-        f"general position: {report['general_position']}; monomial type: {report['monomial_type']}",
-        "partition: "
-        + "; ".join(
-            f"{_vec(entry['multidegree'])} -> {_vec(entry['vertex'])}"
-            for entry in report["partition"]
-        ),
-    ]
-    return "\n".join(lines)
+        f"components: {counts.total} ({counts.primary} primary, {counts.secondary} secondary)",
+        f"general position: {report.monomial}; monomial type: {report.monomial}",
+        "partition: " + "; ".join(f"{_vec(m)} -> {_vec(v.coords)}" for m, v in partition),
+    ])
 
 
 def cmd_hull(args) -> int:
-    config, echo = load_document(args.path)
-    report = hull_report(config, echo)
+    echo, points = hull_report(*load_document(args.path))
     if args.format == "table":
-        rows = [[_vec(p)] for p in report["hull"]]
-        print(_table(rows, ["hull lattice point"]))
+        print(_table([[_vec(p.coords)] for p in points], ["hull lattice point"]))
     else:
-        print(_dump(report))
+        sys.stdout.writelines(_stream({"config": echo, "hull": (_dump(p.coords, ITEM) for p in points)}))
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
-    config, echo = load_document(args.path)
-    report = classification_report(config, echo)
+    report = classification_report(*load_document(args.path))
     if args.format == "table":
         print(render_classification_table(report))
     else:
-        print(_dump(report))
+        sys.stdout.writelines(classification_chunks(report))
     return EXIT_OK
 
 
@@ -208,20 +223,8 @@ def cmd_graph(args) -> int:
     if args.dot:
         print(linked.graph_to_dot(graph))
         return EXIT_OK
-    report = {
-        "config": echo,
-        "vertices": [list(v.coords) for v in graph.vertices],
-        "edges": [
-            {
-                "u": list(u.coords),
-                "v": list(v.coords),
-                "forward": list(graph.diagonal(u, v)),
-                "backward": list(graph.diagonal(v, u)),
-            }
-            for u, v in graph.edges
-        ],
-    }
-    print(_dump(report))
+    vertices = (_dump(v.coords, ITEM) for v in graph.vertices)
+    sys.stdout.writelines(_stream({"config": echo, "edges": _edges(graph), "vertices": vertices}))
     return EXIT_OK
 
 

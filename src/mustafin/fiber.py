@@ -123,8 +123,7 @@ def classify(config: Configuration) -> list[ComponentDescriptor]:
 
 
 def multidegree_partition(
-    config: Configuration,
-    descriptors: Sequence[ComponentDescriptor] | None = None,
+    config: Configuration, descriptors: Sequence[ComponentDescriptor] | None = None
 ) -> dict[tuple[int, ...], TorusPoint]:
     """Assign every tuple with sum d-1 to the unique component claiming it.
 
@@ -144,12 +143,10 @@ def multidegree_partition(
                 )
             claims[m] = desc.vertex
     expected = set(_tuples_with_sum([config.d - 1] * config.n, config.d - 1))
+    # Components have p = d - 1, and M(p) holds nonnegative tuples of sum p: no claim lies outside expected.
     missing = expected - set(claims)
-    extra = set(claims) - expected
-    if missing or extra:
-        raise InvariantViolationError(
-            f"multidegree partition is not total: missing {sorted(missing)}, extra {sorted(extra)}"
-        )
+    if missing:
+        raise InvariantViolationError(f"multidegree partition is not total: missing {sorted(missing)}")
     return claims
 
 

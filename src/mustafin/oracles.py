@@ -4,6 +4,12 @@ These deliberately avoid the covering test on argmin masks, the memoised minor
 expansion, the neighbour lookups and the hull-point signature machinery,
 so that each check in the test suite and in ``verify`` compares two
 independent routes.
+
+The report trees at the end check the CLI's renderers rather than the mathematics:
+they take their values from the library and build one dict per hull point or edge,
+and ``json.dumps(tree, indent=2, sort_keys=True)`` plus a newline is what the
+``classify``, ``hull`` and ``graph`` commands print, which stream the same text from
+fragments rendered once per argmin type, vertex or step pattern.
 """
 
 from __future__ import annotations
@@ -13,8 +19,9 @@ from math import comb, prod
 from typing import Sequence
 
 from .apartment import DiagonalLatticeClass, class_to_point, intersection_class, is_adjacent, point_to_class
+from .fiber import classify, component_counts, is_monomial_type, multidegree_partition
 from .hull import lattice_points
-from .linked import step_diagonal
+from .linked import build_graph, step_diagonal
 from .multidegree import MultidegreeSet
 from .tropical import Configuration, TorusPoint, normalize, tropical_combination
 
@@ -150,3 +157,67 @@ def hilbert_by_inclusion_exclusion(mset: MultidegreeSet, u: Sequence[int]) -> in
 
     rec(0, None, 0)
     return total
+
+
+def classification_tree(config: Configuration, echo: dict) -> dict:
+    """The ``classify`` report with one dict per hull point."""
+    descriptors = classify(config)
+    counts = component_counts(config, descriptors)
+    partition = multidegree_partition(config, descriptors)
+    vertices = []
+    for desc in descriptors:
+        vertices.append(
+            {
+                "vertex": list(desc.vertex.coords),
+                "argmins": [sorted(J) for J in desc.profile.argmins],
+                "kernel_dims": [w.dim for w in desc.profile.kernels],
+                "factor_dims": list(desc.factor_dims),
+                "p": desc.p,
+                "is_component": desc.is_component,
+                "is_primary": desc.is_primary,
+                "multidegrees": [list(m) for m in desc.multidegrees.sorted_tuples()],
+            }
+        )
+    monomial = is_monomial_type(config, descriptors)
+    return {
+        "config": echo,
+        "general_position": monomial,
+        "monomial_type": monomial,
+        "counts": {
+            "total": counts.total,
+            "primary": counts.primary,
+            "secondary": counts.secondary,
+        },
+        "hull": [list(desc.vertex.coords) for desc in descriptors],
+        "vertices": vertices,
+        "partition": [
+            {"multidegree": list(m), "vertex": list(v.coords)}
+            for m, v in sorted(partition.items())
+        ],
+    }
+
+
+def hull_tree(config: Configuration, echo: dict) -> dict:
+    """The ``hull`` report."""
+    return {
+        "config": echo,
+        "hull": [list(p.coords) for p in lattice_points(config)],
+    }
+
+
+def graph_tree(config: Configuration, echo: dict) -> dict:
+    """The ``graph`` report with one dict per edge."""
+    graph = build_graph(config)
+    return {
+        "config": echo,
+        "vertices": [list(v.coords) for v in graph.vertices],
+        "edges": [
+            {
+                "u": list(u.coords),
+                "v": list(v.coords),
+                "forward": list(graph.diagonal(u, v)),
+                "backward": list(graph.diagonal(v, u)),
+            }
+            for u, v in graph.edges
+        ],
+    }

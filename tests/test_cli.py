@@ -10,8 +10,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from mustafin import fiber, hull, linked, tropical
-from mustafin.cli import _dump, main
+from mustafin import Configuration, fiber, hull, linked, oracles, tropical
+from mustafin.cli import _dump, load_document, main
+from mustafin.errors import InvariantViolationError
+from strategies import configurations, point_pairs
 
 TRIPLE = {"d": 3, "points": [[0, -1, -2], [0, -2, -4], [0, -3, -6]], "label": "chain"}
 PAIR = {"d": 3, "points": [[0, 0, 0], [0, 1, 1]]}
@@ -340,6 +342,17 @@ class TestErrorHandling:
         [record] = err.splitlines()
         assert json.loads(record)["error"]["code"] == "invariant"
 
+    @pytest.mark.parametrize("extra", [[], ["--format", "table"]], ids=["json", "table"])
+    def test_failed_partition_check_leaves_stdout_empty(self, capsys, triple_doc, monkeypatch, extra):
+        def failing(config, descriptors=None):
+            raise InvariantViolationError("multidegree partition is not total")
+
+        monkeypatch.setattr(fiber, "multidegree_partition", failing)
+        code, out, err = run(capsys, ["classify", triple_doc, *extra])
+        assert (code, out) == (4, "")
+        [record] = err.splitlines()
+        assert json.loads(record)["error"]["code"] == "invariant"
+
     @pytest.mark.parametrize("name", sorted(UNDECODABLE))
     def test_undecodable_document_is_one_parse_record(self, tmp_path, name):
         path = tmp_path / f"{name}.json"
@@ -395,3 +408,64 @@ def test_main_ends_every_document_in_an_exit_code(tmp_path_factory, content):
         assert len(records) <= 1 and (code == 0) == (records == []), (command, records)
         if records:
             assert set(json.loads(records[0])) == {"error"}
+
+
+# Generic and degenerate configurations, single points (no edges, so empty lists) and pairs of any distance.
+REPORT_CONFIGS = st.one_of(
+    configurations(min_d=2, max_d=4, min_n=1, max_n=1, lo=-3, hi=3),
+    configurations(min_d=2, max_d=4, min_n=2, max_n=4, lo=-3, hi=3),
+    point_pairs(min_d=2, max_d=4)
+    .flatmap(lambda pair: st.sampled_from([pair[:1], pair]))
+    .map(lambda points: Configuration(len(points[0]), points)),
+)
+LABELS = st.one_of(st.sampled_from(['say "hi"', "\u00e9t\u00e9 \u2603", '\\"\u00e9\n\t']), st.text())
+
+
+def stdout_of(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+def vec(values):
+    return "(" + ",".join(map(str, values)) + ")"
+
+
+def layout(header, rows):
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    lines = [header, ["-" * w for w in widths], *rows]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(line, widths)) for line in lines) + "\n"
+
+
+def classification_table(tree):
+    """What ``classify --format table`` shows, read from the oracle's tree."""
+    rows = []
+    for entry in tree["vertices"]:
+        kind = "primary" if entry["is_primary"] else "secondary" if entry["is_component"] else "-"
+        rows.append([vec(entry["vertex"]), vec(entry["factor_dims"]), vec(entry["kernel_dims"]), str(entry["p"]),
+                     "yes" if entry["is_component"] else "no", kind, " ".join(map(vec, entry["multidegrees"]))])
+    header = ["vertex", "factor_dims", "kernel_dims", "p", "component", "kind", "multidegrees"]
+    counts, pairs = tree["counts"], [f"{vec(e['multidegree'])} -> {vec(e['vertex'])}" for e in tree["partition"]]
+    return layout(header, rows) + (
+        f"\ncomponents: {counts['total']} ({counts['primary']} primary, {counts['secondary']} secondary)\n"
+        f"general position: {tree['general_position']}; monomial type: {tree['monomial_type']}\n"
+        f"partition: {'; '.join(pairs)}\n"
+    )
+
+
+@given(REPORT_CONFIGS, LABELS)
+@settings(max_examples=60, deadline=None)
+def test_reports_are_the_oracle_trees_rendered(tmp_path_factory, config, label):
+    path = tmp_path_factory.mktemp("report") / "doc.json"
+    points = [list(p.coords) for p in config.points]
+    path.write_text(json.dumps({"d": config.d, "points": points, "label": label}))
+    doc = str(path)
+    config, echo = load_document(doc)
+    builders = {"classify": oracles.classification_tree, "hull": oracles.hull_tree, "graph": oracles.graph_tree}
+    trees = {command: build(config, echo) for command, build in builders.items()}
+    for command, tree in trees.items():
+        assert stdout_of([command, doc]) == json.dumps(tree, indent=2, sort_keys=True) + "\n", command
+    assert stdout_of(["classify", doc, "--format", "table"]) == classification_table(trees["classify"])
+    hull_rows = [[vec(point)] for point in trees["hull"]["hull"]]
+    assert stdout_of(["hull", doc, "--format", "table"]) == layout(["hull lattice point"], hull_rows)
