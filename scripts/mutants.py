@@ -105,7 +105,7 @@ MUTANTS = [
     ),
     (
         "src/mustafin/fiber.py",
-        "if profile.argmins not in types:",
+        "if masks not in records:",
         "if True:",
         "tests/test_compute_once.py::test_classify_builds_each_argmin_set_and_each_type_once",
     ),
@@ -204,6 +204,42 @@ MUTANTS = [
         "key=lambda edge: edge[1].coords",
         "key=lambda edge: edge[0].coords",
         "tests/test_linked.py::TestBuildGraph::test_edges_and_neighbors_equal_scans_of_the_edge_maps",
+    ),
+    (
+        "src/mustafin/multidegree.py",
+        "elif meet & (meet - 1) == 0:",
+        "elif meet & (meet - 1) >= 0:",
+        "tests/test_multidegree.py::TestForestTypes::test_argmin_type_equals_the_subset_scan",
+    ),
+    (
+        "src/mustafin/multidegree.py",
+        "caps = tuple(J.bit_count() - 1 for J in masks)",
+        "caps = tuple(J.bit_count() for J in masks)",
+        "tests/test_multidegree.py::TestForestTypes::test_argmin_type_equals_the_subset_scan",
+    ),
+    (
+        "src/mustafin/fiber.py",
+        "return self.argmin_type.table",
+        "return intersection_dims(self.profile.kernels)",
+        "tests/test_compute_once.py::test_generic_classify_scans_no_subsets_and_reads_each_table_once_per_type",
+    ),
+    (
+        "src/mustafin/cli.py",
+        "_dump(sorted(J), ENTRY)",
+        "_dump(list(J), ENTRY)",
+        "tests/test_cli.py::test_argmin_sets_print_sorted_where_a_set_iterates_out_of_order",
+    ),
+    (
+        "src/mustafin/cli.py",
+        "tuples = {m: _dump(m, ENTRY)",
+        "tuples = {m: _dump(sorted(m), ENTRY)",
+        "tests/test_golden.py::test_stdout_matches_recording[random_generic-classify]",
+    ),
+    (
+        "src/mustafin/cli.py",
+        'return "true" if obj else "false"',
+        "return str(obj)",
+        "tests/test_cli.py::test_dump_equals_the_json_encoder",
     ),
 ]
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 from . import fiber, hull, linked, oracles, tropical
 from .apartment import local_model_chain
 from .errors import ContractError, DimensionError, DomainError, InvariantViolationError, ParseError
-from .multidegree import hilbert_function
+from .multidegree import hilbert_function, intersection_dims, multidegree_set
 from .tropical import Configuration, TorusPoint, normalize
 
 EXIT_OK = 0
@@ -93,20 +93,38 @@ def _dump(obj, newline: str = "\n") -> str:
     """Same bytes as ``json.dumps(obj, indent=2, sort_keys=True)``, whose ``indent`` runs pure Python."""
     inner = newline + "  "
     if isinstance(obj, dict):
-        items = [encode_basestring_ascii(k) + ": " + _dump(obj[k], inner) for k in sorted(obj)]
-        return "{" + inner + ("," + inner).join(items) + newline + "}" if obj else "{}"
+        return _object({k: _dump(v, inner) for k, v in obj.items()}, newline)
+    # bool is a subclass of int but prints as true/false: test the exact type.
+    if type(obj) is bool:
+        return "true" if obj else "false"
+    if type(obj) is int:
+        return str(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
     if not isinstance(obj, (list, tuple)):
         return json.dumps(obj)
-    # bool is a subclass of int but prints as true/false: test the exact type.
-    items = map(str, obj) if all(type(v) is int for v in obj) else [_dump(v, inner) for v in obj]
-    return "[" + inner + ("," + inner).join(items) + newline + "]" if obj else "[]"
+    return _array([str(v) for v in obj] if all(type(v) is int for v in obj) else [_dump(v, inner) for v in obj],
+                  newline)
+
+
+def _object(fields: dict[str, str], newline: str) -> str:
+    """A JSON object at ``newline`` whose values are rendered already, one level deeper; keys sorted."""
+    inner = newline + "  "
+    items = [encode_basestring_ascii(k) + ": " + fields[k] for k in sorted(fields)]
+    return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+
+
+def _array(items: list[str], newline: str) -> str:
+    """A JSON list at ``newline`` of items rendered already, one level deeper."""
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
 
 
 # Reports stream from fragments that _dump renders once each, per argmin type, vertex or step pattern.
-# ITEM and FIELD are the newlines before the items of a report's top-level lists and before their fields.
-# An item's head is _dump of its first fields at ITEM less END, the closing brace; VERTEX, U and V join it
-# to the values of the fields that sort after those, rendered at FIELD.
-ITEM, FIELD = "\n    ", "\n      "
+# ITEM, FIELD and ENTRY are the newlines before the items of a report's top-level lists, before their fields
+# and before the entries of those fields. An item's head is its first fields as an object at ITEM less END,
+# the closing brace; VERTEX, U and V join it to the values of the fields that sort after those, at FIELD.
+ITEM, FIELD, ENTRY = "\n    ", "\n      ", "\n        "
 VERTEX, U, V = (f',{FIELD}"{key}": ' for key in ("vertex", "u", "v"))
 END = ITEM + "}"
 
@@ -129,16 +147,21 @@ def _stream(report: dict) -> Iterator[str]:
 
 
 def classification_chunks(report: Classification) -> Iterator[str]:
-    """The classify JSON; a type's fields before "vertex" are rendered once, from any descriptor of that type."""
+    """The classify JSON; a type's fields before "vertex" are rendered once, from any descriptor of that type,
+    and each distinct argmin set and multidegree tuple once per call."""
     descs = report.descriptors
     keys = [desc.profile.argmins for desc in descs]
+    types = dict(zip(keys, descs))
+    sets = {J: _dump(sorted(J), ENTRY) for J in {J for key in types for J in key}}
+    tuples = {m: _dump(m, ENTRY) for m in {m for desc in types.values() for m in desc.multidegrees.tuples}}
     heads = {}
-    for key, desc in dict(zip(keys, descs)).items():
-        fields = {"argmins": [sorted(J) for J in desc.profile.argmins], "factor_dims": desc.factor_dims,
-                  "is_component": desc.is_component, "is_primary": desc.is_primary,
-                  "kernel_dims": [w.dim for w in desc.profile.kernels],
-                  "multidegrees": desc.multidegrees.sorted_tuples(), "p": desc.p}
-        heads[key] = _dump(fields, ITEM)[: -len(END)]
+    for key, desc in types.items():
+        fields = {"argmins": _array([sets[J] for J in key], FIELD), "factor_dims": _dump(desc.factor_dims, FIELD),
+                  "is_component": _dump(desc.is_component), "is_primary": _dump(desc.is_primary),
+                  "kernel_dims": _dump([w.dim for w in desc.profile.kernels], FIELD),
+                  "multidegrees": _array([tuples[m] for m in desc.multidegrees.sorted_tuples()], FIELD),
+                  "p": str(desc.p)}
+        heads[key] = _object(fields, ITEM)[: -len(END)]
     return _stream({
         "config": report.echo,
         "counts": report.counts._asdict(),
@@ -151,14 +174,15 @@ def classification_chunks(report: Classification) -> Iterator[str]:
 
 
 def _edges(graph: linked.LinkedGraph) -> Iterator[str]:
-    """Edge items; each step pattern's two diagonals are rendered once, and each vertex once at FIELD."""
-    heads, maps = {}, graph.edge_maps
+    """Edge items in ``graph.edges`` order, each edge's two directions paired by coordinates, read in one pass over
+    the edge maps; each step pattern's two diagonals are rendered once, and each vertex once at FIELD."""
+    heads, maps = {}, {(u.coords, v.coords): diagonal for (u, v), diagonal in graph.edge_maps.items()}
     at_field = {v.coords: _dump(v.coords, FIELD) for v in graph.vertices}
-    for u, v in graph.edges:
+    for u, v in sorted(ends for ends in maps if ends[0] < ends[1]):
         pattern = maps[u, v], maps[v, u]
         if pattern not in heads:
             heads[pattern] = _dump({"backward": pattern[1], "forward": pattern[0]}, ITEM)[: -len(END)]
-        yield heads[pattern] + U + at_field[u.coords] + V + at_field[v.coords] + END
+        yield heads[pattern] + U + at_field[u] + V + at_field[v] + END
 
 
 def _table(rows: list[list[str]], header: list[str]) -> str:
@@ -284,6 +308,11 @@ def cmd_verify(args) -> int:
     checks.append(
         {"name": "root_maps_vs_reduction_profile", "cases": len(descriptors), "failures": root_failures}
     )
+
+    distinct = {desc.profile.argmins: desc for desc in descriptors}.values()
+    scans = [(desc, multidegree_set(config.d, intersection_dims(desc.profile.kernels))) for desc in distinct]
+    scan_failures = sum((desc.p, desc.multidegrees) != (scan.p, scan) for desc, scan in scans)
+    checks.append({"name": "multidegrees_vs_subset_scan", "cases": len(scans), "failures": scan_failures})
 
     ok = all(c["failures"] == 0 for c in checks)
     print(_dump({"config": echo, "checks": checks, "ok": ok}))

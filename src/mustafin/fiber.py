@@ -8,26 +8,27 @@ map has full dimension d-1, which the multidegree engine decides exactly.
 
 The hull walk ``hull.lattice_points`` carries the argmin sets of every point it enumerates as bitmasks, and
 ``hull._argmin_masks`` computes them in the same format for single points; one routine turns masks into argmin
-sets and kernels for both. Per-type fields are computed once per argmin type, and primacy is read from the
-argmin sets. The oracles, the acceptance suite and the benchmark keep independent copies on purpose.
+sets and kernels for both. Per-type fields are computed once per argmin type, M(p) in closed form when the
+type graph is a forest and the d_I table only when read; primacy is read from the argmin sets. The oracles,
+the acceptance suite and the benchmark keep independent copies on purpose.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 from typing import NamedTuple, Sequence
 
 from .errors import ContractError, InvariantViolationError
 from .hull import _hull_point_masks, lattice_points
 from .multidegree import (
+    ArgminType,
     CoordinateSubspace,
     DIndexTable,
     MultidegreeSet,
     _tuples_with_sum,
     dimension_p,
     intersection_dims,
-    multidegree_set,
 )
 from .tropical import Configuration, TorusPoint, is_general_position, normalize
 
@@ -56,17 +57,22 @@ class ComponentDescriptor:
     (|J_i| - 1); ``p`` is the dimension of the joint image;
     ``is_component`` flags p = d-1; ``is_primary`` flags vertices of the
     original configuration, whose component maps birationally onto its
-    factor.
+    factor. All points of one argmin type share ``argmin_type``.
     """
 
     vertex: TorusPoint
     profile: ReductionProfile
-    table: DIndexTable
     p: int
     multidegrees: MultidegreeSet
     is_component: bool
     is_primary: bool
     factor_dims: tuple[int, ...]
+    argmin_type: ArgminType = field(repr=False, compare=False)
+
+    @property
+    def table(self) -> DIndexTable:
+        """The d_I table, built on first read and shared by every point of the argmin type."""
+        return self.argmin_type.table
 
 
 class ComponentCounts(NamedTuple):
@@ -94,20 +100,20 @@ def _profiles(config: Configuration, points: Sequence[TorusPoint], types: Sequen
 
 def describe_vertex(config: Configuration, v: TorusPoint) -> ComponentDescriptor:
     """Full descriptor (profile, dimension, multidegrees) of one hull point."""
-    return _describe(config, [reduction_profile(config, v)])[0]
+    return _describe(config, [v], [_hull_point_masks(config, v)])[0]
 
 
-def _describe(config: Configuration, profiles: Sequence[ReductionProfile]) -> list[ComponentDescriptor]:
-    """One descriptor per profile; each argmin type's d_I table, p, M(p), flags and factor dimensions are computed
-    once. Primacy: x = v_i iff v_i - x is constant, iff J_i = [d], iff d - 1 is one of the factor dimensions."""
-    types = {}
-    for profile in profiles:
-        if profile.argmins not in types:
-            dims = tuple(len(J) - 1 for J in profile.argmins)
-            table = intersection_dims(profile.kernels)
-            mset = multidegree_set(config.d, table)
-            types[profile.argmins] = table, mset.p, mset, mset.p == config.d - 1, config.d - 1 in dims, dims
-    return [ComponentDescriptor(profile.vertex, profile, *types[profile.argmins]) for profile in profiles]
+def _describe(config: Configuration, points: Sequence[TorusPoint], types: Sequence[tuple[int, ...]]) -> list:
+    """One descriptor per point of the given argmin type; each type's ``ArgminType``, flags and factor dimensions
+    are made once. Primacy: x = v_i iff v_i - x is constant, iff J_i = [d], iff d - 1 is a factor dimension."""
+    profiles = _profiles(config, points, types)
+    records = {}
+    for masks, profile in zip(types, profiles):
+        if masks not in records:
+            kind = ArgminType(masks, profile.kernels)
+            mset, dims = kind.multidegrees, tuple(len(J) - 1 for J in profile.argmins)
+            records[masks] = mset.p, mset, mset.p == config.d - 1, config.d - 1 in dims, dims, kind
+    return [ComponentDescriptor(profile.vertex, profile, *records[masks]) for masks, profile in zip(types, profiles)]
 
 
 def classify(config: Configuration) -> list[ComponentDescriptor]:
@@ -119,7 +125,7 @@ def classify(config: Configuration) -> list[ComponentDescriptor]:
     each distinct set becomes a frozenset and a kernel once.
     """
     hull = lattice_points(config)
-    return _describe(config, _profiles(config, hull.ordered, hull.argmin_masks))
+    return _describe(config, hull.ordered, hull.argmin_masks)
 
 
 def multidegree_partition(

@@ -5,8 +5,9 @@ P(k^d) --> P(k^d/W_1) x ... x P(k^d/W_n), the image's dimension p, its
 multidegree tuples and its multigraded Hilbert function are determined by
 the table d_I = dim of the intersection of the W_i over I. The dimension
 is the count p = d - d_[n] - (number of overlap clusters of the factors),
-and the Hilbert function is a sum over the down-closure of M(p).
-Everything here is exact integer arithmetic.
+and the Hilbert function is a sum over the down-closure of M(p). When the
+type graph of the factors is a forest, M(p) is one tuple read off the
+argmin sets with no table. Everything here is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -191,6 +192,45 @@ def multidegree_set(d: int, table: DIndexTable) -> MultidegreeSet:
     """M(p) at the maximal nonempty level p."""
     p = dimension_p(d, table)
     return MultidegreeSet(p, frozenset(admissible_tuples(d, table, p)))
+
+
+def forest_multidegrees(masks: Sequence[int]) -> MultidegreeSet | None:
+    """M(p) = {t}, t_i = |J_i| - 1, if the type graph of the argmin sets is a forest; None if it has a cycle.
+
+    ``masks[i - 1]`` holds the nonempty J_i (bit j - 1 for coordinate j); the type graph joins factor i to
+    the coordinates of J_i, and factor i closes a cycle iff J_i meets a component of factors 1..i-1 in two
+    or more coordinates. Proof on a forest: the singleton constraints give m_i <= t_i in every M(h). The
+    overlap clusters are the type graph's k components on [n] and U = union J_i, so its cyclomatic number
+    sum |J_i| - n - |U| + k is sum t_i - p (``dimension_p``), 0 exactly on a forest. M(p) is nonempty by
+    ``dimension_p``'s spanning-tree argument, and the only tuple under the caps t with sum t_i is t.
+    """
+    components: list[int] = []
+    for J in masks:
+        merged, apart = J, []
+        for C in components:
+            meet = C & J
+            if not meet:
+                apart.append(C)
+            elif meet & (meet - 1) == 0:
+                merged |= C
+            else:
+                return None
+        components = [*apart, merged]
+    caps = tuple(J.bit_count() - 1 for J in masks)
+    return MultidegreeSet(sum(caps), frozenset([caps]))
+
+
+class ArgminType:
+    """One argmin type, from its argmin masks and the complementary kernels: M(p) in closed form for a forest
+    type, else by ``multidegree_set`` on the d_I table, which is otherwise built only when first read."""
+
+    def __init__(self, masks: Sequence[int], kernels: Sequence[CoordinateSubspace]):
+        self.kernels = kernels
+        self.multidegrees = forest_multidegrees(masks) or multidegree_set(kernels[0].d, self.table)
+
+    @cached_property
+    def table(self) -> DIndexTable:
+        return intersection_dims(self.kernels)
 
 
 def hilbert_function(mset: MultidegreeSet, u: Sequence[int]) -> int:

@@ -8,9 +8,9 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from mustafin import Configuration, fiber, hull, linked, oracles, tropical
+from mustafin import Configuration, MultidegreeSet, fiber, hull, linked, multidegree, oracles, tropical
 from mustafin.cli import _dump, load_document, main
 from mustafin.errors import InvariantViolationError
 from strategies import configurations, point_pairs
@@ -61,6 +61,7 @@ JSON_VALUES = st.recursive(
 
 
 @given(JSON_VALUES)
+@example([True, False, None, 0, "x"])
 @settings(max_examples=300, deadline=None)
 def test_dump_equals_the_json_encoder(value):
     assert _dump(value) == json.dumps(value, indent=2, sort_keys=True)
@@ -221,6 +222,7 @@ class TestVerify:
             "minor_determinants_vs_permutation_scan",
             "multidegree_partition_total",
             "root_maps_vs_reduction_profile",
+            "multidegrees_vs_subset_scan",
         }
         assert all(c["failures"] == 0 for c in report["checks"])
 
@@ -280,6 +282,24 @@ class TestVerify:
         failures = failed_checks(capsys, triple_doc)
         assert failures.pop("root_maps_vs_reduction_profile") > 0
         assert sum(failures.values()) == 0
+
+    def test_seeded_closed_form_defect_fails_the_check(self, capsys, triple_doc, monkeypatch):
+        real = multidegree.forest_multidegrees
+
+        def off_by_one(masks):
+            mset = real(masks)
+            if mset is None:
+                return None
+            ((first, *rest),) = mset.tuples
+            return MultidegreeSet(mset.p + 1, frozenset([(first + 1, *rest)]))
+
+        monkeypatch.setattr(multidegree, "forest_multidegrees", off_by_one)
+        code, out, _ = run(capsys, ["verify", triple_doc])
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        scan = checks.pop("multidegrees_vs_subset_scan")
+        assert code == 4 and scan["failures"] == scan["cases"] > 0
+        assert checks.pop("multidegree_partition_total")["failures"] == 1
+        assert all(c["failures"] == 0 for c in checks.values())
 
 
 # Each raised UnicodeDecodeError, RecursionError or ValueError out of ``json.load``.
@@ -469,3 +489,14 @@ def test_reports_are_the_oracle_trees_rendered(tmp_path_factory, config, label):
     assert stdout_of(["classify", doc, "--format", "table"]) == classification_table(trees["classify"])
     hull_rows = [[vec(point)] for point in trees["hull"]["hull"]]
     assert stdout_of(["hull", doc, "--format", "table"]) == layout(["hull lattice point"], hull_rows)
+
+
+def test_argmin_sets_print_sorted_where_a_set_iterates_out_of_order(tmp_path):
+    # At (0,...,0) the second generator's argmin set is {1, 8}, which iterates as 8, 1: coordinate 8 takes
+    # slot 0 of an 8-slot hash table. Below d = 8 small argmin sets iterate in sorted order.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"d": 8, "points": [[0] * 8, [0, 1, 1, 1, 1, 1, 1, 0]]}))
+    config, echo = load_document(str(path))
+    assert list(fiber.classify(config)[0].profile.argmins[1]) == [8, 1]
+    tree = oracles.classification_tree(config, echo)
+    assert stdout_of(["classify", str(path)]) == json.dumps(tree, indent=2, sort_keys=True) + "\n"

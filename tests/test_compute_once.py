@@ -4,7 +4,8 @@
 are not tested for hull membership again, a CLI classification report enumerates the hull and
 tests general position once, and ``verify`` classifies once. ``classify`` and ``locate_by_multidegree``
 read the argmin sets the enumeration carries, and ``classify`` builds each distinct argmin set's kernel
-once and each argmin type's multidegrees once. ``reduction_profile``, ``describe_vertex`` and
+once and each argmin type's multidegrees once; on a generic configuration it scans no subsets and builds a
+type's d_I table only when a descriptor reads it, once per type. ``reduction_profile``, ``describe_vertex`` and
 ``skeleton_signature`` compute a point's argmin masks once and make no separate membership test, and
 a ``MultidegreeSet`` builds its down-closure once. The counts come from wrapping the functions
 at every ``mustafin`` module attribute that holds them. ``main`` builds its parser once per process,
@@ -24,10 +25,11 @@ import mustafin.hull as hull
 import mustafin.multidegree as multidegree
 import mustafin.oracles as oracles
 import mustafin.tropical as tropical
-from mustafin.sampling import random_configuration
+from mustafin.sampling import random_configuration, random_general_position_configuration
 from test_golden import DOCS, cli_stdout, recording
 
 CONFIG = random_configuration(Random(1), 4, 4, -6, 6)
+GENERIC = random_general_position_configuration(Random(1), 4, 5, -6, 6)
 WIDE_PAIR = tropical.configuration(3, [(0, 0, 0), (0, 100000, -100000)])
 
 
@@ -142,10 +144,23 @@ def test_classify_builds_each_argmin_set_and_each_type_once(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(multidegree.CoordinateSubspace, "__post_init__", counted)
-    multidegree_sets = record_calls(monkeypatch, multidegree.multidegree_set)
+    argmin_types = record_calls(monkeypatch, multidegree.ArgminType)
     fiber.classify(CONFIG)
     assert len(kernels) == len(sets) < len(points) * CONFIG.n
-    assert len(multidegree_sets) == len(types) < len(points)
+    assert len(argmin_types) == len(types) < len(points)
+
+
+def test_generic_classify_scans_no_subsets_and_reads_each_table_once_per_type(monkeypatch):
+    tables = record_calls(monkeypatch, multidegree.intersection_dims)
+    scans = record_calls(monkeypatch, multidegree.admissible_tuples)
+    descriptors = fiber.classify(GENERIC)
+    assert tables == [] and scans == []
+    first_of_type = {}
+    for desc in descriptors:
+        assert desc.table is first_of_type.setdefault(desc.profile.argmins, desc).table
+    assert len(tables) == len(first_of_type) < len(descriptors)
+    assert all(desc.table == multidegree.intersection_dims(desc.profile.kernels) for desc in descriptors)
+    assert scans == []
 
 
 def test_points_of_one_type_share_their_table_and_multidegrees():

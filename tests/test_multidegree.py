@@ -12,11 +12,14 @@ from mustafin import (
     dimension_p,
     hilbert_function,
     intersection_dims,
+    lattice_points,
     multidegree_set,
     subspace,
 )
 from mustafin.errors import ContractError, UndefinedMapError
+from mustafin.multidegree import ArgminType, forest_multidegrees
 from mustafin.oracles import hilbert_by_inclusion_exclusion
+from mustafin.sampling import random_general_position_configuration
 
 from strategies import compositions
 
@@ -171,6 +174,75 @@ class TestLevelScan:
         assert dimension_p(d, table) == p
         mset = multidegree_set(d, table)
         assert (mset.p, mset.tuples) == (p, levels[p])
+
+
+@st.composite
+def argmin_mask_tuples(draw):
+    d = draw(st.integers(min_value=2, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=7))
+    return d, draw(st.lists(st.integers(min_value=1, max_value=(1 << d) - 1), min_size=n, max_size=n))
+
+
+def kernels_of(d, masks):
+    return [subspace(d, [j for j in range(1, d + 1) if not mask >> (j - 1) & 1]) for mask in masks]
+
+
+def type_graph_is_acyclic(d, masks):
+    """Union-find over the edges i -- j, j in J_i, of the graph on factors 0..n-1 and coordinates n..n+d-1."""
+    parent = list(range(len(masks) + d))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for i, mask in enumerate(masks):
+        for j in range(d):
+            if mask >> j & 1:
+                a, b = find(i), find(len(masks) + j)
+                if a == b:
+                    return False
+                parent[a] = b
+    return True
+
+
+class TestForestTypes:
+    @given(argmin_mask_tuples())
+    @example((3, [0b011, 0b011]))  # J_1 = J_2 = {1, 2}: a 4-cycle
+    @example((4, [0b0011, 0b0110, 0b1100]))  # a chain {1,2}, {2,3}, {3,4}: a tree
+    @example((4, [0b0011, 0b0110, 0b0101]))  # {1,2}, {2,3}, {1,3}: a 6-cycle through three factors
+    @settings(max_examples=200, deadline=None)
+    def test_argmin_type_equals_the_subset_scan(self, case):
+        d, masks = case
+        kernels = kernels_of(d, masks)
+        table = intersection_dims(kernels)
+        mset, scan = ArgminType(masks, kernels).multidegrees, multidegree_set(d, table)
+        assert (mset.p, mset.tuples) == (scan.p, scan.tuples) == (dimension_p(d, table), scan.tuples)
+
+    @given(argmin_mask_tuples())
+    @example((3, [0b011, 0b011]))
+    @example((4, [0b0011, 0b0110, 0b1100]))
+    @example((4, [0b0011, 0b0110, 0b0101]))
+    @settings(max_examples=200, deadline=None)
+    def test_cap_sum_bounds_p_with_equality_exactly_on_forests(self, case):
+        d, masks = case
+        p = dimension_p(d, intersection_dims(kernels_of(d, masks)))
+        caps = sum(bin(mask).count("1") - 1 for mask in masks)
+        acyclic = type_graph_is_acyclic(d, masks)
+        assert caps >= p and (caps == p) == acyclic
+        assert (forest_multidegrees(masks) is not None) == acyclic
+
+    def test_every_type_in_general_position_is_a_forest(self):
+        rng = Random(5)
+        types = 0
+        for _ in range(60):
+            d, n = rng.randint(2, 5), rng.randint(1, 5)
+            config = random_general_position_configuration(rng, d, n, -6, 6)
+            for masks in set(lattice_points(config).argmin_masks):
+                types += 1
+                assert type_graph_is_acyclic(d, masks), (config, masks)
+                assert forest_multidegrees(masks) is not None
+        assert types > 1000
 
 
 @st.composite
