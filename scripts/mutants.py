@@ -195,14 +195,14 @@ MUTANTS = [
     ),
     (
         "src/mustafin/linked.py",
-        "if v.coords < u.coords:",
-        "if u.coords < v.coords:",
+        "(u, v) if u < v else (v, u)",
+        "(u, v) if v < u else (v, u)",
         "tests/test_linked.py::TestBuildGraph::test_two_classes_in_dimension_two",
     ),
     (
         "src/mustafin/linked.py",
-        "key=lambda edge: edge[1].coords",
-        "key=lambda edge: edge[0].coords",
+        "for u, v in sorted(self.edge_maps):",
+        "for u, v in self.edge_maps:",
         "tests/test_linked.py::TestBuildGraph::test_edges_and_neighbors_equal_scans_of_the_edge_maps",
     ),
     (
@@ -240,6 +240,18 @@ MUTANTS = [
         'return "true" if obj else "false"',
         "return str(obj)",
         "tests/test_cli.py::test_dump_equals_the_json_encoder",
+    ),
+    (
+        "src/mustafin/tropical.py",
+        "if len(point) < 2:",
+        "if len(point) < 1:",
+        "tests/test_tropical.py::TestTorusPoint::test_point_is_its_normalized_tuple",
+    ),
+    (
+        "src/mustafin/tropical.py",
+        "if point[0] != 0:",
+        "if False:",
+        "tests/test_tropical.py::TestTorusPoint::test_point_is_its_normalized_tuple",
     ),
 ]
 

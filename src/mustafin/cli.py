@@ -174,11 +174,11 @@ def classification_chunks(report: Classification) -> Iterator[str]:
 
 
 def _edges(graph: linked.LinkedGraph) -> Iterator[str]:
-    """Edge items in ``graph.edges`` order, each edge's two directions paired by coordinates, read in one pass over
-    the edge maps; each step pattern's two diagonals are rendered once, and each vertex once at FIELD."""
-    heads, maps = {}, {(u.coords, v.coords): diagonal for (u, v), diagonal in graph.edge_maps.items()}
-    at_field = {v.coords: _dump(v.coords, FIELD) for v in graph.vertices}
-    for u, v in sorted(ends for ends in maps if ends[0] < ends[1]):
+    """Edge items in ``graph.edges`` order; each step pattern's two diagonals are rendered once, and each vertex
+    once at FIELD."""
+    heads, maps = {}, graph.edge_maps
+    at_field = {v: _dump(v, FIELD) for v in graph.vertices}
+    for u, v in graph.edges:
         pattern = maps[u, v], maps[v, u]
         if pattern not in heads:
             heads[pattern] = _dump({"backward": pattern[1], "forward": pattern[0]}, ITEM)[: -len(END)]

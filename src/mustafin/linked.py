@@ -48,13 +48,9 @@ class LinkedGraph:
 
     @property
     def edges(self) -> list[tuple[TorusPoint, TorusPoint]]:
-        """Unordered edges, each once with endpoints sorted; coordinate tuples sort as points do."""
-        ends = {}
-        for u, v in self.edge_maps:
-            if v.coords < u.coords:
-                u, v = v, u
-            ends[u.coords, v.coords] = u, v
-        return [ends[key] for key in sorted(ends)]
+        """Unordered edges, each once with endpoints sorted."""
+        # Insertion order keeps build_graph's sorted runs for Timsort, which a set would scatter.
+        return sorted(dict.fromkeys((u, v) if u < v else (v, u) for u, v in self.edge_maps))
 
     def diagonal(self, u: TorusPoint, v: TorusPoint) -> tuple[int, ...]:
         try:
@@ -73,7 +69,7 @@ class LinkedGraph:
     @cached_property
     def _out_neighbors(self) -> dict[TorusPoint, list[TorusPoint]]:
         adjacency: dict[TorusPoint, list[TorusPoint]] = {}
-        for u, v in sorted(self.edge_maps, key=lambda edge: edge[1].coords):
+        for u, v in sorted(self.edge_maps):
             adjacency.setdefault(u, []).append(v)
         return adjacency
 
@@ -95,13 +91,13 @@ def build_graph(config: Configuration) -> LinkedGraph:
     2^(d-1) - 1 neighbours. The diagonal of u -> u + e_S is 1 off S, of u + e_S -> u on S.
     """
     hull = lattice_points(config)
-    by_coords = {u.coords: u for u in hull}
+    own = {u: u for u in hull}  # a coordinate tuple finds the hull's point equal to it
     edge_maps: dict[tuple[TorusPoint, TorusPoint], tuple[int, ...]] = {}
     for mask in range(2, 1 << config.d, 2):
         step = tuple((mask >> j) & 1 for j in range(config.d))
         complement = tuple(1 - b for b in step)
         for u in hull:
-            v = by_coords.get(tuple(map(add, u.coords, step)))
+            v = own.get(tuple(map(add, u, step)))
             if v is not None:
                 edge_maps[(u, v)] = complement
                 edge_maps[(v, u)] = step

@@ -2,7 +2,9 @@
 
 Points live in Z^d modulo the all-ones direction. Every public operation
 works on normalized representatives (first coordinate pinned to 0), which
-makes equality, hashing and lexicographic order well defined.
+makes equality, hashing and lexicographic order well defined. A
+``TorusPoint`` is a tuple subclass: it equals, hashes and sorts as its
+normalized coordinate tuple, and ``.coords`` returns the point itself.
 """
 
 from __future__ import annotations
@@ -15,26 +17,24 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .errors import ContractError, DegenerateSegmentError, DimensionError
 
 
-@dataclass(frozen=True, order=True)
-class TorusPoint:
-    """A lattice class in one apartment, stored as a normalized integer vector."""
+class TorusPoint(tuple):
+    """A lattice class in one apartment: the normalized integer vector itself, so it equals,
+    hashes and sorts as that tuple."""
 
-    coords: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.coords) < 2:
-            raise DimensionError(f"ambient dimension must be >= 2, got {len(self.coords)}")
-        if self.coords[0] != 0:
-            raise ContractError(f"coordinates {self.coords} are not normalized; use normalize()")
+    def __new__(cls, coords: Iterable[int]) -> TorusPoint:
+        point = tuple.__new__(cls, coords)
+        if len(point) < 2:
+            raise DimensionError(f"ambient dimension must be >= 2, got {len(point)}")
+        if point[0] != 0:
+            raise ContractError(f"coordinates {point} are not normalized; use normalize()")
+        return point
 
-    def __len__(self) -> int:
-        return len(self.coords)
-
-    def __getitem__(self, j: int) -> int:
-        return self.coords[j]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.coords)
+    @property
+    def coords(self) -> tuple[int, ...]:
+        """The point itself, as its coordinate tuple."""
+        return self
 
 
 @dataclass(frozen=True)

@@ -149,7 +149,8 @@ class TestHilbert:
     def test_vertex_outside_hull_is_domain_error(self, capsys, pair_doc):
         code, _, err = run(capsys, ["hilbert", pair_doc, "--vertex", "0,2,5", "--u", "0,0"])
         assert code == 3
-        assert json.loads(err)["error"]["code"] == "domain"
+        error = json.loads(err)["error"]
+        assert error == {"code": "domain", "message": "(0, 2, 5) is not in the hull of the configuration"}
 
     def test_large_multidegree_set(self, capsys, tmp_path):
         # |M(p)| = 69 at the origin; inclusion-exclusion over M(p) restricted to supp(u) gives 75

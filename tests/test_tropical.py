@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import combinations
 
 import pytest
@@ -6,6 +8,7 @@ import hypothesis.strategies as st
 
 from mustafin import (
     Configuration,
+    TorusPoint,
     configuration,
     contains,
     is_general_position,
@@ -38,6 +41,25 @@ class TestNormalize:
         p = normalize(raw)
         assert normalize(tuple(v + c for v in raw)) == p
         assert normalize(p.coords) == p
+
+
+class TestTorusPoint:
+    @given(st.lists(raw_vectors(), min_size=1, max_size=6))
+    def test_point_is_its_normalized_tuple(self, raws):
+        points = [normalize(raw) for raw in raws]
+        p = points[0]
+        assert p == tuple(p) and hash(p) == hash(tuple(p))
+        assert [tuple(q) for q in sorted(points)] == sorted(tuple(q) for q in points)
+        assert p.coords == tuple(p)
+        assert str(p) == str(tuple(p))
+        for twin in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+            assert type(twin) is TorusPoint and twin == p
+        with pytest.raises(AttributeError):
+            p.label = "x"
+        with pytest.raises(ContractError):
+            TorusPoint((1, 2))
+        with pytest.raises(DimensionError):
+            TorusPoint((0,))
 
 
 class TestConfiguration:
