@@ -165,8 +165,8 @@ MUTANTS = [
     ),
     (
         "src/mustafin/cli.py",
-        """(f',{FIELD}"{key}": ' for key in""",
-        """(f'{FIELD}"{key}": ' for key in""",
+        "_ints(n, FIELD), _ints(d, FIELD)",
+        "_ints(n, FIELD), _ints(d, ENTRY)",
         "tests/test_cli.py::test_reports_are_the_oracle_trees_rendered",
     ),
     (
@@ -195,8 +195,8 @@ MUTANTS = [
     ),
     (
         "src/mustafin/linked.py",
-        "(u, v) if u < v else (v, u)",
-        "(u, v) if v < u else (v, u)",
+        "(u, v) if u <= v else (v, u)",
+        "(u, v) if v <= u else (v, u)",
         "tests/test_linked.py::TestBuildGraph::test_two_classes_in_dimension_two",
     ),
     (
@@ -225,14 +225,14 @@ MUTANTS = [
     ),
     (
         "src/mustafin/cli.py",
-        "_dump(sorted(J), ENTRY)",
-        "_dump(list(J), ENTRY)",
+        "% tuple(sorted(J))",
+        "% tuple(J)",
         "tests/test_cli.py::test_argmin_sets_print_sorted_where_a_set_iterates_out_of_order",
     ),
     (
         "src/mustafin/cli.py",
-        "tuples = {m: _dump(m, ENTRY)",
-        "tuples = {m: _dump(sorted(m), ENTRY)",
+        "tuples = {m: tuple_at % m",
+        "tuples = {m: tuple_at % tuple(sorted(m))",
         "tests/test_golden.py::test_stdout_matches_recording[random_generic-classify]",
     ),
     (
@@ -252,6 +252,36 @@ MUTANTS = [
         "if point[0] != 0:",
         "if False:",
         "tests/test_tropical.py::TestTorusPoint::test_point_is_its_normalized_tuple",
+    ),
+    (
+        "src/mustafin/cli.py",
+        'map(_ints(echo["d"], ITEM).__mod__, points)',
+        'map(_ints(echo["d"], FIELD).__mod__, points)',
+        "tests/test_golden.py::test_stdout_matches_recording[unit_step_pair-hull]",
+    ),
+    (
+        "src/mustafin/linked.py",
+        "base = max(map(max, hull)) - min(map(min, hull)) + 2",
+        "base = max(map(max, hull)) - min(map(min, hull)) + 1",
+        "tests/test_linked.py::TestBuildGraph::test_edge_maps_equal_the_pair_scan",
+    ),
+    (
+        "src/mustafin/linked.py",
+        "for shift, forward, backward in moves:",
+        "for shift, forward, backward in reversed(moves):",
+        "tests/test_linked.py::TestBuildGraph::test_edge_maps_equal_the_pair_scan",
+    ),
+    (
+        "src/mustafin/tropical.py",
+        "ways += count",
+        "ways = count",
+        "tests/test_tropical.py::TestTropicalDeterminant::test_agrees_with_permutation_scan",
+    ),
+    (
+        "src/mustafin/tropical.py",
+        "key = rs, cs",
+        "key = len(rs), cs",
+        "tests/test_tropical.py::TestGeneralPosition::test_witness_is_first_singular_minor_in_scan_order",
     ),
 ]
 

@@ -13,7 +13,9 @@ import json
 import sys
 from collections.abc import Iterator
 from functools import cache
+from itertools import starmap
 from json.encoder import encode_basestring_ascii
+from operator import add, mod
 from typing import NamedTuple
 
 from . import fiber, hull, linked, oracles, tropical
@@ -82,7 +84,7 @@ def classification_report(config: Configuration, echo: dict) -> Classification:
     counts = fiber.component_counts(config, descriptors)
     partition = fiber.multidegree_partition(config, descriptors)
     # is_monomial_type is general position, checked against the secondary-count law.
-    return Classification(echo, descriptors, counts, partition, fiber.is_monomial_type(config, descriptors))
+    return Classification(echo, descriptors, counts, partition, fiber.is_monomial_type(config, counts))
 
 
 def hull_report(config: Configuration, echo: dict) -> tuple[dict, hull.HullLatticeSet]:
@@ -120,13 +122,16 @@ def _array(items: list[str], newline: str) -> str:
     return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
 
 
-# Reports stream from fragments that _dump renders once each, per argmin type, vertex or step pattern.
-# ITEM, FIELD and ENTRY are the newlines before the items of a report's top-level lists, before their fields
-# and before the entries of those fields. An item's head is its first fields as an object at ITEM less END,
-# the closing brace; VERTEX, U and V join it to the values of the fields that sort after those, at FIELD.
+def _ints(k: int, newline: str) -> str:
+    """A %-template of ``_dump`` of k integers at ``newline``: ``template % values`` renders them."""
+    return _array(["%d"] * k, newline)
+
+
+# Each item a report repeats is a %-template made once per call, filled by one ``template % coords``; only
+# integers and JSON structure go into a template. ITEM, FIELD and ENTRY are the newlines before the items of a
+# report's top-level lists, before their fields and before the entries of those fields.
 ITEM, FIELD, ENTRY = "\n    ", "\n      ", "\n        "
-VERTEX, U, V = (f',{FIELD}"{key}": ' for key in ("vertex", "u", "v"))
-END = ITEM + "}"
+BOOLS = ("false", "true")
 
 
 def _stream(report: dict) -> Iterator[str]:
@@ -147,42 +152,31 @@ def _stream(report: dict) -> Iterator[str]:
 
 
 def classification_chunks(report: Classification) -> Iterator[str]:
-    """The classify JSON; a type's fields before "vertex" are rendered once, from any descriptor of that type,
-    and each distinct argmin set and multidegree tuple once per call."""
-    descs = report.descriptors
+    """The classify JSON; a type's item is rendered once, from any descriptor of that type, with a slot for the
+    vertex, and each distinct argmin set and multidegree tuple once per call."""
+    descs, d, n = report.descriptors, report.echo["d"], len(report.echo["points"])
     keys = [desc.profile.argmins for desc in descs]
     types = dict(zip(keys, descs))
-    sets = {J: _dump(sorted(J), ENTRY) for J in {J for key in types for J in key}}
-    tuples = {m: _dump(m, ENTRY) for m in {m for desc in types.values() for m in desc.multidegrees.tuples}}
-    heads = {}
-    for key, desc in types.items():
-        fields = {"argmins": _array([sets[J] for J in key], FIELD), "factor_dims": _dump(desc.factor_dims, FIELD),
-                  "is_component": _dump(desc.is_component), "is_primary": _dump(desc.is_primary),
-                  "kernel_dims": _dump([w.dim for w in desc.profile.kernels], FIELD),
-                  "multidegrees": _array([tuples[m] for m in desc.multidegrees.sorted_tuples()], FIELD),
-                  "p": str(desc.p)}
-        heads[key] = _object(fields, ITEM)[: -len(END)]
+    sets = {J: _ints(len(J), ENTRY) % tuple(sorted(J)) for J in {J for key in types for J in key}}
+    tuple_at, per_factor, vertex = _ints(n, ENTRY), _ints(n, FIELD), _ints(d, FIELD)
+    tuples = {m: tuple_at % m for m in {m for desc in types.values() for m in desc.multidegrees.tuples}}
+    items = {key: _object({
+        "argmins": _array([sets[J] for J in key], FIELD), "factor_dims": per_factor % desc.factor_dims,
+        "is_component": BOOLS[desc.is_component], "is_primary": BOOLS[desc.is_primary],
+        "kernel_dims": per_factor % tuple(w.dim for w in desc.profile.kernels),
+        "multidegrees": _array([tuples[m] for m in desc.multidegrees.sorted_tuples()], FIELD),
+        "p": str(desc.p), "vertex": vertex}, ITEM) for key, desc in types.items()}
+    points = [desc.vertex for desc in descs]
+    entry = _object({"multidegree": per_factor, "vertex": vertex}, ITEM)
     return _stream({
         "config": report.echo,
         "counts": report.counts._asdict(),
         "general_position": report.monomial,
-        "hull": (_dump(desc.vertex.coords, ITEM) for desc in descs),
+        "hull": map(_ints(d, ITEM).__mod__, points),
         "monomial_type": report.monomial,
-        "partition": [{"multidegree": m, "vertex": v.coords} for m, v in sorted(report.partition.items())],
-        "vertices": (heads[k] + VERTEX + _dump(d.vertex.coords, FIELD) + END for k, d in zip(keys, descs)),
+        "partition": map(entry.__mod__, starmap(add, sorted(report.partition.items()))),
+        "vertices": map(mod, map(items.__getitem__, keys), points),
     })
-
-
-def _edges(graph: linked.LinkedGraph) -> Iterator[str]:
-    """Edge items in ``graph.edges`` order; each step pattern's two diagonals are rendered once, and each vertex
-    once at FIELD."""
-    heads, maps = {}, graph.edge_maps
-    at_field = {v: _dump(v, FIELD) for v in graph.vertices}
-    for u, v in graph.edges:
-        pattern = maps[u, v], maps[v, u]
-        if pattern not in heads:
-            heads[pattern] = _dump({"backward": pattern[1], "forward": pattern[0]}, ITEM)[: -len(END)]
-        yield heads[pattern] + U + at_field[u] + V + at_field[v] + END
 
 
 def _table(rows: list[list[str]], header: list[str]) -> str:
@@ -219,7 +213,7 @@ def cmd_hull(args) -> int:
     if args.format == "table":
         print(_table([[_vec(p.coords)] for p in points], ["hull lattice point"]))
     else:
-        sys.stdout.writelines(_stream({"config": echo, "hull": (_dump(p.coords, ITEM) for p in points)}))
+        sys.stdout.writelines(_stream({"config": echo, "hull": map(_ints(echo["d"], ITEM).__mod__, points)}))
     return EXIT_OK
 
 
@@ -245,10 +239,15 @@ def cmd_graph(args) -> int:
     config, echo = load_document(args.path)
     graph = linked.build_graph(config)
     if args.dot:
-        print(linked.graph_to_dot(graph))
+        sys.stdout.writelines(line + "\n" for line in linked.dot_lines(graph))
         return EXIT_OK
-    vertices = (_dump(v.coords, ITEM) for v in graph.vertices)
-    sys.stdout.writelines(_stream({"config": echo, "edges": _edges(graph), "vertices": vertices}))
+    end = _ints(config.d, FIELD)
+
+    def edge(forward: tuple[int, ...], backward: tuple[int, ...]) -> str:
+        return _object({"backward": end % backward, "forward": end % forward, "u": end, "v": end}, ITEM)
+
+    edges, vertices = linked.render_edges(graph, edge), map(_ints(config.d, ITEM).__mod__, graph.vertices)
+    sys.stdout.writelines(_stream({"config": echo, "edges": edges, "vertices": vertices}))
     return EXIT_OK
 
 

@@ -168,18 +168,17 @@ def component_counts(
     return ComponentCounts(total, primary, total - primary)
 
 
-def is_monomial_type(
-    config: Configuration,
-    descriptors: Sequence[ComponentDescriptor] | None = None,
-) -> bool:
+def is_monomial_type(config: Configuration, counts: ComponentCounts | None = None) -> bool:
     """True iff the fiber is cut out by monomials.
 
     Equivalent both to tropical general position and to the secondary
     count reaching binom(n+d-2, d-1) - n; both are computed and
-    cross-asserted.
+    cross-asserted. ``counts`` are the fiber's component counts, computed
+    from a classification when not given.
     """
     gp = is_general_position(config)
-    counts = component_counts(config, descriptors)
+    if counts is None:
+        counts = component_counts(config)
     saturated = counts.secondary == comb(config.n + config.d - 2, config.d - 1) - config.n
     if gp != saturated:
         raise InvariantViolationError(

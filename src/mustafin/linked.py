@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import product, starmap
 from math import prod
-from operator import add
-from typing import Sequence
+from operator import add, mod, mul
+from typing import Callable, Iterator, Sequence
 
 from .apartment import is_adjacent
 from .errors import ContractError, DimensionError, DomainError
@@ -49,8 +50,8 @@ class LinkedGraph:
     @property
     def edges(self) -> list[tuple[TorusPoint, TorusPoint]]:
         """Unordered edges, each once with endpoints sorted."""
-        # Insertion order keeps build_graph's sorted runs for Timsort, which a set would scatter.
-        return sorted(dict.fromkeys((u, v) if u < v else (v, u) for u, v in self.edge_maps))
+        maps = self.edge_maps  # each pair from its smaller end, or from the larger if only that direction is held
+        return sorted([(u, v) if u <= v else (v, u) for u, v in maps if u <= v or (v, u) not in maps])
 
     def diagonal(self, u: TorusPoint, v: TorusPoint) -> tuple[int, ...]:
         try:
@@ -89,18 +90,26 @@ def build_graph(config: Configuration) -> LinkedGraph:
     Modulo all-ones, adjacent classes differ by +e_S or -e_S for a nonempty S
     of {2..d}, so every edge is u -> u + e_S from one end: each vertex looks up
     2^(d-1) - 1 neighbours. The diagonal of u -> u + e_S is 1 off S, of u + e_S -> u on S.
+
+    A vector x is looked up by its code sum_j x_j B^(d-j), B = max - min + 2 over the hull's coordinates. Less
+    the minimum, hull coordinates are digits in [0, B - 2] and those of u + e_S in [0, B - 1], so adding e_S
+    carries nowhere, code(u + e_S) = code(u) + code(e_S), and two vectors with digits in [0, B - 1] have equal
+    codes only if they are equal. Points in order and steps in lexicographic order make the keys (u, u + e_S)
+    arrive sorted.
     """
     hull = lattice_points(config)
-    own = {u: u for u in hull}  # a coordinate tuple finds the hull's point equal to it
+    base = max(map(max, hull)) - min(map(min, hull)) + 2
+    weights = [base ** (config.d - 1 - j) for j in range(config.d)]
+    own = {sum(map(mul, u, weights)): u for u in hull}
+    steps = [(0, *bits) for bits in product((0, 1), repeat=config.d - 1)][1:]
+    moves = [(sum(map(mul, step, weights)), tuple(1 - b for b in step), step) for step in steps]
     edge_maps: dict[tuple[TorusPoint, TorusPoint], tuple[int, ...]] = {}
-    for mask in range(2, 1 << config.d, 2):
-        step = tuple((mask >> j) & 1 for j in range(config.d))
-        complement = tuple(1 - b for b in step)
-        for u in hull:
-            v = own.get(tuple(map(add, u, step)))
+    for code, u in own.items():
+        for shift, forward, backward in moves:
+            v = own.get(code + shift)
             if v is not None:
-                edge_maps[(u, v)] = complement
-                edge_maps[(v, u)] = step
+                edge_maps[u, v] = forward
+                edge_maps[v, u] = backward
     return LinkedGraph(config.d, hull.ordered, edge_maps)
 
 
@@ -196,20 +205,29 @@ def _root_maps(config: Configuration, root: TorusPoint) -> list[tuple[int, ...]]
     return [_compose(config.d, (step_diagonal(u, v) for u, v in zip(p, p[1:]))) for p in paths]
 
 
+def render_edges(graph: LinkedGraph, template: Callable[[tuple[int, ...], tuple[int, ...]], str]) -> Iterator[str]:
+    """``template(forward, backward) % (u + v)`` for each edge (u, v) of ``graph.edges``, with one template per
+    step pattern. The forward diagonal names the pattern: in a built graph the backward one is its complement."""
+    edges, maps = graph.edges, graph.edge_maps
+    forwards = [maps[edge] for edge in edges]
+    templates = {f: template(f, graph.diagonal(v, u)) for f, (u, v) in dict(zip(forwards, edges)).items()}
+    return map(mod, map(templates.__getitem__, forwards), starmap(add, edges))
+
+
+def dot_lines(graph: LinkedGraph) -> Iterator[str]:
+    """The lines of ``graph_to_dot``, one at a time; edge labels show the two diagonal supports."""
+    name = '"' + ",".join(["%d"] * graph.d) + '"'
+
+    def edge(*diagonals: tuple[int, ...]) -> str:
+        label = " / ".join("{" + ",".join(str(j + 1) for j, a in enumerate(diag) if a) + "}" for diag in diagonals)
+        return f'  {name} -- {name} [label="{label}"];'
+
+    yield "graph hull {"
+    yield from map(f"  {name};".__mod__, graph.vertices)
+    yield from render_edges(graph, edge)
+    yield "}"
+
+
 def graph_to_dot(graph: LinkedGraph) -> str:
     """DOT rendering; edge labels show the two diagonal supports."""
-
-    def name(p: TorusPoint) -> str:
-        return '"' + ",".join(str(c) for c in p.coords) + '"'
-
-    def supp(diag) -> str:
-        return "{" + ",".join(str(j + 1) for j, a in enumerate(diag) if a) + "}"
-
-    lines = ["graph hull {"]
-    for v in graph.vertices:
-        lines.append(f"  {name(v)};")
-    for u, v in graph.edges:
-        label = f"{supp(graph.diagonal(u, v))} / {supp(graph.diagonal(v, u))}"
-        lines.append(f'  {name(u)} -- {name(v)} [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines)
+    return "\n".join(dot_lines(graph))

@@ -178,7 +178,7 @@ def classification_tree(config: Configuration, echo: dict) -> dict:
                 "multidegrees": [list(m) for m in desc.multidegrees.sorted_tuples()],
             }
         )
-    monomial = is_monomial_type(config, descriptors)
+    monomial = is_monomial_type(config, counts)
     return {
         "config": echo,
         "general_position": monomial,

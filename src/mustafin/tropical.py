@@ -10,7 +10,6 @@ normalized coordinate tuple, and ``.coords`` returns the point itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -117,17 +116,23 @@ def _minor_determinants(rows: Sequence[Sequence[int]]) -> Callable[..., tuple[in
     Expands along the last row, det(rs, cs) = min over c of rows[rs[-1]][c] + det(rs[:-1], cs - c),
     adding the counts of tied choices: each minor is computed once for all minors containing it.
     """
+    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, int]] = {}
 
-    @cache
     def det(rs: tuple[int, ...], cs: tuple[int, ...]) -> tuple[int, int]:
-        if not rs:
-            return 0, 1
-        expansions = []
+        key = rs, cs
+        known = memo.get(key) if rs else (0, 1)
+        if known is not None:
+            return known
+        head, row, best, ways = rs[:-1], rows[rs[-1]], None, 0
         for k, c in enumerate(cs):
-            value, ways = det(rs[:-1], cs[:k] + cs[k + 1 :])
-            expansions.append((value + rows[rs[-1]][c], ways))
-        best = min(value for value, _ in expansions)
-        return best, sum(ways for value, ways in expansions if value == best)
+            value, count = det(head, cs[:k] + cs[k + 1 :])
+            value += row[c]
+            if best is None or value < best:
+                best, ways = value, count
+            elif value == best:
+                ways += count
+        memo[key] = best, ways
+        return best, ways
 
     return det
 

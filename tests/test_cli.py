@@ -431,15 +431,19 @@ def test_main_ends_every_document_in_an_exit_code(tmp_path_factory, content):
             assert set(json.loads(records[0])) == {"error"}
 
 
-# Generic and degenerate configurations, single points (no edges, so empty lists) and pairs of any distance.
+# Generic and degenerate configurations, single points (no edges, so empty lists), pairs of any distance and
+# configurations with multi-digit negative coordinates.
 REPORT_CONFIGS = st.one_of(
     configurations(min_d=2, max_d=4, min_n=1, max_n=1, lo=-3, hi=3),
     configurations(min_d=2, max_d=4, min_n=2, max_n=4, lo=-3, hi=3),
     point_pairs(min_d=2, max_d=4)
     .flatmap(lambda pair: st.sampled_from([pair[:1], pair]))
     .map(lambda points: Configuration(len(points[0]), points)),
+    configurations(min_d=2, max_d=3, min_n=1, max_n=2, lo=-150, hi=-10),
 )
-LABELS = st.one_of(st.sampled_from(['say "hi"', "\u00e9t\u00e9 \u2603", '\\"\u00e9\n\t']), st.text())
+LABELS = st.one_of(
+    st.sampled_from(['say "hi"', "\u00e9t\u00e9 \u2603", '\\"\u00e9\n\t', "100% %d %s %(x)s %%"]), st.text()
+)
 
 
 def stdout_of(argv):

@@ -2,10 +2,11 @@
 
 ``lattice_points`` makes no membership test, points it has just enumerated
 are not tested for hull membership again, a CLI classification report enumerates the hull and
-tests general position once, and ``verify`` classifies once. ``classify`` and ``locate_by_multidegree``
-read the argmin sets the enumeration carries, and ``classify`` builds each distinct argmin set's kernel
-once and each argmin type's multidegrees once; on a generic configuration it scans no subsets and builds a
-type's d_I table only when a descriptor reads it, once per type. ``reduction_profile``, ``describe_vertex`` and
+tests general position once, a CLI ``classify`` counts components once, and ``verify`` classifies
+once. ``classify`` and ``locate_by_multidegree`` read the argmin sets the enumeration carries, and
+``classify`` builds each distinct argmin set's kernel once and each argmin type's multidegrees once;
+on a generic configuration it scans no subsets and builds a type's d_I table only when a descriptor
+reads it, once per type. ``reduction_profile``, ``describe_vertex`` and
 ``skeleton_signature`` compute a point's argmin masks once and make no separate membership test, and
 a ``MultidegreeSet`` builds its down-closure once. The counts come from wrapping the functions
 at every ``mustafin`` module attribute that holds them. ``main`` builds its parser once per process,
@@ -180,6 +181,16 @@ def test_classification_report_enumerates_and_tests_position_once(monkeypatch):
     cli.classification_report(CONFIG, {"d": CONFIG.d})
     assert len(enumerations) == 1
     assert len(position_tests) == 1
+
+
+def test_classify_counts_components_once(monkeypatch):
+    doc = str(Path(__file__).parent / "golden" / "random_generic.json")
+    passes = record_calls(monkeypatch, fiber.component_counts)
+    for extra in ([], ["--format", "table"]):
+        passes.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["classify", doc, *extra]) == 0
+        assert len(passes) == 1
 
 
 def test_verify_enumerates_once_and_tests_only_the_box(monkeypatch):

@@ -45,6 +45,18 @@ def endpoint_pairs(draw):
 
 
 @st.composite
+def wide_configurations(draw):
+    """Coordinates in [-40, 40], often at its ends, where a neighbour lookup by integer codes could carry.
+
+    Up to four points in d = 2 and up to two in d = 3 or 4, so that the pair scan stays small."""
+    d = draw(st.integers(min_value=2, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=4 if d == 2 else 2))
+    coordinate = st.one_of(st.sampled_from([-40, 40]), st.integers(min_value=-40, max_value=40))
+    rows = draw(st.lists(st.tuples(*[coordinate] * (d - 1)), min_size=n, max_size=n, unique=True))
+    return Configuration(d, tuple(normalize((0,) + row) for row in rows))
+
+
+@st.composite
 def diagonal_chains(draw):
     """A path u_0, ..., u_k with arbitrary 0/1 diagonals on both directions of each edge."""
     d = draw(st.integers(min_value=2, max_value=4))
@@ -97,19 +109,23 @@ class TestBuildGraph:
             assert all(a + b == 1 for a, b in zip(f, g))
             assert any(f) and any(g)
 
-    @given(configurations(min_d=2, max_d=5, min_n=1, max_n=4, lo=-2, hi=2))
-    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(configurations(min_d=2, max_d=5, min_n=1, max_n=4, lo=-2, hi=2), wide_configurations()))
+    @settings(max_examples=100, deadline=None)
     def test_edge_maps_equal_the_pair_scan(self, cfg):
         graph = build_graph(cfg)
         assert graph.vertices == tuple(lattice_points(cfg))
         assert graph.edge_maps == edge_maps_by_pair_scan(cfg)
+        # build_graph inserts each edge from its smaller end first, in sorted order
+        assert [(u, v) for u, v in graph.edge_maps if u < v] == graph.edges
 
     @given(configurations(min_d=2, max_d=5, min_n=1, max_n=4, lo=-2, hi=2), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_edges_and_neighbors_equal_scans_of_the_edge_maps(self, cfg, rng):
         full = build_graph(cfg)
-        # A hand-made graph may hold one direction of a pair, both, or neither.
-        kept = {edge: diag for edge, diag in full.edge_maps.items() if rng.random() < 0.5}
+        # A hand-made graph may hold one direction of a pair, both, or neither, in any order.
+        kept = [item for item in full.edge_maps.items() if rng.random() < 0.5]
+        rng.shuffle(kept)
+        kept = dict(kept)
         for graph in (full, LinkedGraph(cfg.d, full.vertices, kept)):
             assert graph.edges == sorted({tuple(sorted((u, v))) for u, v in graph.edge_maps})
             for u in graph.vertices:
