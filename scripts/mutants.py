@@ -99,14 +99,14 @@ MUTANTS = [
     ),
     (
         "src/mustafin/fiber.py",
-        "config.d - 1 in dims",
-        "config.d - 2 in dims",
+        "d - 1 in dims",
+        "d - 2 in dims",
         "tests/test_fiber.py::TestStructuralIdentities::test_primary_exactly_at_generators",
     ),
     (
         "src/mustafin/fiber.py",
-        "if masks not in records:",
-        "if True:",
+        "for masks, profile in _profiles(d, types).items():",
+        "for masks, profile in ((masks, _profiles(d, types)[masks]) for masks in types):",
         "tests/test_compute_once.py::test_classify_builds_each_argmin_set_and_each_type_once",
     ),
     (
@@ -147,15 +147,15 @@ MUTANTS = [
     ),
     (
         "src/mustafin/cli.py",
-        "all(type(v) is int for v in obj)",
-        "all(isinstance(v, int) for v in obj)",
+        'json.dumps(obj, indent=2, sort_keys=True).replace("\\n", newline)',
+        'json.dumps(obj, indent=2, sort_keys=True)',
         "tests/test_cli.py::test_dump_equals_the_json_encoder",
     ),
     (
         "src/mustafin/cli.py",
         'encode_basestring_ascii(k) + ": " +',
         'encode_basestring_ascii(k) + ":" +',
-        "tests/test_cli.py::test_dump_equals_the_json_encoder",
+        "tests/test_cli.py::test_reports_are_the_oracle_trees_rendered",
     ),
     (
         "src/mustafin/cli.py",
@@ -219,7 +219,7 @@ MUTANTS = [
     ),
     (
         "src/mustafin/fiber.py",
-        "return self.argmin_type.table",
+        "return self.profile.table",
         "return intersection_dims(self.profile.kernels)",
         "tests/test_compute_once.py::test_generic_classify_scans_no_subsets_and_reads_each_table_once_per_type",
     ),
@@ -237,8 +237,8 @@ MUTANTS = [
     ),
     (
         "src/mustafin/cli.py",
-        'return "true" if obj else "false"',
-        "return str(obj)",
+        "indent=2, sort_keys=True).replace",
+        "indent=2).replace",
         "tests/test_cli.py::test_dump_equals_the_json_encoder",
     ),
     (
@@ -282,6 +282,20 @@ MUTANTS = [
         "key = rs, cs",
         "key = len(rs), cs",
         "tests/test_tropical.py::TestGeneralPosition::test_witness_is_first_singular_minor_in_scan_order",
+    ),
+    (
+        "src/mustafin/fiber.py",
+        "ComponentDescriptor(v, *records[masks])",
+        "ComponentDescriptor(v, ReductionProfile(records[masks][0].argmins, records[masks][0].kernels),"
+        " *records[masks][1:])",
+        "tests/test_compute_once.py::test_classify_builds_each_argmin_set_and_each_type_once",
+    ),
+    (
+        "src/mustafin/hull.py",
+        "    return HullLatticeSet(config, tuple(map(TorusPoint, level)), tuple(level_masks))",
+        "    found = HullLatticeSet(config, tuple(map(TorusPoint, level)), tuple(level_masks))\n"
+        "    return found if found.points else found",
+        "tests/test_compute_once.py::test_classify_graph_and_hull_never_build_the_point_set",
     ),
 ]
 

@@ -92,21 +92,9 @@ def hull_report(config: Configuration, echo: dict) -> tuple[dict, hull.HullLatti
 
 
 def _dump(obj, newline: str = "\n") -> str:
-    """Same bytes as ``json.dumps(obj, indent=2, sort_keys=True)``, whose ``indent`` runs pure Python."""
-    inner = newline + "  "
-    if isinstance(obj, dict):
-        return _object({k: _dump(v, inner) for k, v in obj.items()}, newline)
-    # bool is a subclass of int but prints as true/false: test the exact type.
-    if type(obj) is bool:
-        return "true" if obj else "false"
-    if type(obj) is int:
-        return str(obj)
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if not isinstance(obj, (list, tuple)):
-        return json.dumps(obj)
-    return _array([str(v) for v in obj] if all(type(v) is int for v in obj) else [_dump(v, inner) for v in obj],
-                  newline)
+    """``json.dumps(obj, indent=2, sort_keys=True)`` with each line break written as ``newline``, to continue at a
+    deeper indentation; an encoded string holds no raw newline, so only the encoder's line breaks change."""
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
 
 
 def _object(fields: dict[str, str], newline: str) -> str:

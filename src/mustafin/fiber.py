@@ -7,46 +7,52 @@ contributes an irreducible component iff the image of its joint rational
 map has full dimension d-1, which the multidegree engine decides exactly.
 
 The hull walk ``hull.lattice_points`` carries the argmin sets of every point it enumerates as bitmasks, and
-``hull._argmin_masks`` computes them in the same format for single points; one routine turns masks into argmin
-sets and kernels for both. Per-type fields are computed once per argmin type, M(p) in closed form when the
-type graph is a forest and the d_I table only when read; primacy is read from the argmin sets. The oracles,
-the acceptance suite and the benchmark keep independent copies on purpose.
+``hull._argmin_masks`` computes them in the same format for single points; one routine turns masks into one
+reduction profile per argmin type for both. Per-type fields are computed once per argmin type, M(p) in closed
+form when the type graph is a forest and the d_I table only when read; primacy is read from the argmin sets.
+The oracles, the acceptance suite and the benchmark keep independent copies on purpose.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import NamedTuple, Sequence
 
 from .errors import ContractError, InvariantViolationError
 from .hull import _hull_point_masks, lattice_points
 from .multidegree import (
-    ArgminType,
     CoordinateSubspace,
     DIndexTable,
     MultidegreeSet,
     _tuples_with_sum,
     dimension_p,
+    forest_multidegrees,
     intersection_dims,
+    multidegree_set,
 )
 from .tropical import Configuration, TorusPoint, is_general_position, normalize
 
 
 @dataclass(frozen=True)
 class ReductionProfile:
-    """Per-factor reduction data of the diagonal maps at one hull vertex."""
+    """Per-factor reduction data of the diagonal maps at the hull points of one argmin type."""
 
-    vertex: TorusPoint
     argmins: tuple[frozenset[int], ...]
     kernels: tuple[CoordinateSubspace, ...]
 
     def diagonals(self) -> tuple[tuple[int, ...], ...]:
         """0/1 diagonal of each factor map: 1 exactly on the argmin set."""
-        d = len(self.vertex)
+        d = self.kernels[0].d
         return tuple(
             tuple(1 if j + 1 in J else 0 for j in range(d)) for J in self.argmins
         )
+
+    @cached_property
+    def table(self) -> DIndexTable:
+        """The d_I table of the kernels, built on first read and kept by this profile."""
+        return intersection_dims(self.kernels)
 
 
 @dataclass(frozen=True)
@@ -57,7 +63,7 @@ class ComponentDescriptor:
     (|J_i| - 1); ``p`` is the dimension of the joint image;
     ``is_component`` flags p = d-1; ``is_primary`` flags vertices of the
     original configuration, whose component maps birationally onto its
-    factor. All points of one argmin type share ``argmin_type``.
+    factor. All points of one argmin type share ``profile``.
     """
 
     vertex: TorusPoint
@@ -67,12 +73,11 @@ class ComponentDescriptor:
     is_component: bool
     is_primary: bool
     factor_dims: tuple[int, ...]
-    argmin_type: ArgminType = field(repr=False, compare=False)
 
     @property
     def table(self) -> DIndexTable:
         """The d_I table, built on first read and shared by every point of the argmin type."""
-        return self.argmin_type.table
+        return self.profile.table
 
 
 class ComponentCounts(NamedTuple):
@@ -83,37 +88,36 @@ class ComponentCounts(NamedTuple):
 
 def reduction_profile(config: Configuration, v: TorusPoint) -> ReductionProfile:
     """Argmin sets and kernels of the reduced diagonal maps at hull point ``v``."""
-    return _profiles(config, [v], [_hull_point_masks(config, v)])[0]
+    masks = _hull_point_masks(config, v)
+    return _profiles(config.d, [masks])[masks]
 
 
-def _profiles(config: Configuration, points: Sequence[TorusPoint], types: Sequence[tuple[int, ...]]) -> list:
-    """Profiles of points with the given argmin types (tuples of argmin masks); each distinct mask and
-    type is converted once, so points of one type share their argmins and kernels."""
-    full = frozenset(range(1, config.d + 1))
+def _profiles(d: int, types: Sequence[tuple[int, ...]]) -> dict:
+    """One profile per distinct argmin type (a tuple of argmin masks); each distinct mask becomes a frozenset and
+    a kernel once."""
+    full = frozenset(range(1, d + 1))
     sets = {}
     for mask in {mask for masks in types for mask in masks}:
         J = frozenset(j for j in full if mask >> (j - 1) & 1)
-        sets[mask] = J, CoordinateSubspace(config.d, full - J)
-    parts = {masks: tuple(zip(*map(sets.get, masks))) for masks in set(types)}
-    return [ReductionProfile(v, *parts[masks]) for v, masks in zip(points, types)]
+        sets[mask] = J, CoordinateSubspace(d, full - J)
+    return {masks: ReductionProfile(*zip(*map(sets.get, masks))) for masks in set(types)}
 
 
 def describe_vertex(config: Configuration, v: TorusPoint) -> ComponentDescriptor:
     """Full descriptor (profile, dimension, multidegrees) of one hull point."""
-    return _describe(config, [v], [_hull_point_masks(config, v)])[0]
+    return _describe(config.d, [v], [_hull_point_masks(config, v)])[0]
 
 
-def _describe(config: Configuration, points: Sequence[TorusPoint], types: Sequence[tuple[int, ...]]) -> list:
-    """One descriptor per point of the given argmin type; each type's ``ArgminType``, flags and factor dimensions
-    are made once. Primacy: x = v_i iff v_i - x is constant, iff J_i = [d], iff d - 1 is a factor dimension."""
-    profiles = _profiles(config, points, types)
+def _describe(d: int, points: Sequence[TorusPoint], types: Sequence[tuple[int, ...]]) -> list:
+    """One descriptor per point of the given argmin type; each type's profile, M(p), flags and factor dimensions
+    are made once. M(p) is in closed form for a forest type, else from the d_I table. Primacy: x = v_i iff
+    v_i - x is constant, iff J_i = [d], iff d - 1 is a factor dimension."""
     records = {}
-    for masks, profile in zip(types, profiles):
-        if masks not in records:
-            kind = ArgminType(masks, profile.kernels)
-            mset, dims = kind.multidegrees, tuple(len(J) - 1 for J in profile.argmins)
-            records[masks] = mset.p, mset, mset.p == config.d - 1, config.d - 1 in dims, dims, kind
-    return [ComponentDescriptor(profile.vertex, profile, *records[masks]) for masks, profile in zip(types, profiles)]
+    for masks, profile in _profiles(d, types).items():
+        mset = forest_multidegrees(masks) or multidegree_set(d, profile.table)
+        dims = tuple(len(J) - 1 for J in profile.argmins)
+        records[masks] = profile, mset.p, mset, mset.p == d - 1, d - 1 in dims, dims
+    return [ComponentDescriptor(v, *records[masks]) for v, masks in zip(points, types)]
 
 
 def classify(config: Configuration) -> list[ComponentDescriptor]:
@@ -125,7 +129,7 @@ def classify(config: Configuration) -> list[ComponentDescriptor]:
     each distinct set becomes a frozenset and a kernel once.
     """
     hull = lattice_points(config)
-    return _describe(config, hull.ordered, hull.argmin_masks)
+    return _describe(config.d, hull.ordered, hull.argmin_masks)
 
 
 def multidegree_partition(

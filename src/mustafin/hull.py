@@ -8,7 +8,7 @@ them. Enumeration grows prefixes by fibres and never scans the box.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_, sub
 from typing import Iterator, Sequence
 
@@ -21,13 +21,14 @@ class HullLatticeSet:
     """All lattice points of tconv(config), i.e. the lattice classes of conv, in lexicographic order."""
 
     config: Configuration
-    points: frozenset[TorusPoint]
-    ordered: tuple[TorusPoint, ...] = field(compare=False, repr=False)
+    ordered: tuple[TorusPoint, ...]
     # argmin_masks[k][i]: argmin set of v_i - ordered[k] as a bitmask, bit j-1 for coordinate j
     argmin_masks: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
-    def sorted_points(self) -> list[TorusPoint]:
-        return list(self.ordered)
+    @cached_property
+    def points(self) -> frozenset[TorusPoint]:
+        """The points as a set, built on first read and kept by this instance."""
+        return frozenset(self.ordered)
 
     def __contains__(self, point: TorusPoint) -> bool:
         return point in self.points
@@ -119,8 +120,7 @@ def lattice_points(config: Configuration) -> HullLatticeSet:
                 child = tuple(m if t < u else m | bit if t == u else bit for m, u in zip(masks, ups))
                 level.append(y + (t,))
                 level_masks.append(distinct.setdefault(child, child))
-    ordered = tuple(map(TorusPoint, level))
-    return HullLatticeSet(config, frozenset(ordered), ordered, tuple(level_masks))
+    return HullLatticeSet(config, tuple(map(TorusPoint, level)), tuple(level_masks))
 
 
 def skeleton_signature(config: Configuration, x: TorusPoint) -> SkeletonSignature:

@@ -220,19 +220,6 @@ def forest_multidegrees(masks: Sequence[int]) -> MultidegreeSet | None:
     return MultidegreeSet(sum(caps), frozenset([caps]))
 
 
-class ArgminType:
-    """One argmin type, from its argmin masks and the complementary kernels: M(p) in closed form for a forest
-    type, else by ``multidegree_set`` on the d_I table, which is otherwise built only when first read."""
-
-    def __init__(self, masks: Sequence[int], kernels: Sequence[CoordinateSubspace]):
-        self.kernels = kernels
-        self.multidegrees = forest_multidegrees(masks) or multidegree_set(kernels[0].d, self.table)
-
-    @cached_property
-    def table(self) -> DIndexTable:
-        return intersection_dims(self.kernels)
-
-
 def hilbert_function(mset: MultidegreeSet, u: Sequence[int]) -> int:
     """Multigraded Hilbert function at u.
 

@@ -74,7 +74,7 @@ def assignment_min_count(matrix: Sequence[Sequence[int]]) -> tuple[int, int]:
 
 def edge_maps_by_pair_scan(config: Configuration) -> dict[tuple[TorusPoint, TorusPoint], tuple[int, ...]]:
     """Linked-graph edge maps by testing ``is_adjacent`` on every pair of hull points."""
-    verts = lattice_points(config).sorted_points()
+    verts = list(lattice_points(config))
     pairs = [(u, v) for a, u in enumerate(verts) for v in verts[a + 1 :] if is_adjacent(u, v)]
     return {edge: step_diagonal(*edge) for u, v in pairs for edge in ((u, v), (v, u))}
 

@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from mustafin import Configuration, MultidegreeSet, fiber, hull, linked, multidegree, oracles, tropical
+from mustafin import Configuration, MultidegreeSet, fiber, hull, linked, oracles, tropical
 from mustafin.cli import _dump, load_document, main
 from mustafin.errors import InvariantViolationError
 from strategies import configurations, point_pairs
@@ -62,9 +62,12 @@ JSON_VALUES = st.recursive(
 
 @given(JSON_VALUES)
 @example([True, False, None, 0, "x"])
+@example({"b": 1, "a": [2, "\n"]})
 @settings(max_examples=300, deadline=None)
 def test_dump_equals_the_json_encoder(value):
     assert _dump(value) == json.dumps(value, indent=2, sort_keys=True)
+    # At the newline "\n  " a value continues as the encoder writes it one level down, under a key.
+    assert '{\n  "k": ' + _dump(value, "\n  ") + "\n}" == json.dumps({"k": value}, indent=2, sort_keys=True)
 
 
 def run(capsys, argv):
@@ -285,7 +288,7 @@ class TestVerify:
         assert sum(failures.values()) == 0
 
     def test_seeded_closed_form_defect_fails_the_check(self, capsys, triple_doc, monkeypatch):
-        real = multidegree.forest_multidegrees
+        real = fiber.forest_multidegrees
 
         def off_by_one(masks):
             mset = real(masks)
@@ -294,7 +297,7 @@ class TestVerify:
             ((first, *rest),) = mset.tuples
             return MultidegreeSet(mset.p + 1, frozenset([(first + 1, *rest)]))
 
-        monkeypatch.setattr(multidegree, "forest_multidegrees", off_by_one)
+        monkeypatch.setattr(fiber, "forest_multidegrees", off_by_one)
         code, out, _ = run(capsys, ["verify", triple_doc])
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
         scan = checks.pop("multidegrees_vs_subset_scan")

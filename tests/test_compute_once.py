@@ -4,9 +4,10 @@
 are not tested for hull membership again, a CLI classification report enumerates the hull and
 tests general position once, a CLI ``classify`` counts components once, and ``verify`` classifies
 once. ``classify`` and ``locate_by_multidegree`` read the argmin sets the enumeration carries, and
-``classify`` builds each distinct argmin set's kernel once and each argmin type's multidegrees once;
-on a generic configuration it scans no subsets and builds a type's d_I table only when a descriptor
-reads it, once per type. ``reduction_profile``, ``describe_vertex`` and
+``classify`` builds each distinct argmin set's kernel once and one reduction profile and one M(p) per argmin
+type, shared by the type's descriptors; on a generic configuration it scans no subsets and builds a type's
+d_I table only when a descriptor reads it, once per type. ``classify``, ``graph`` and ``hull`` never build
+the hull's point set. ``reduction_profile``, ``describe_vertex`` and
 ``skeleton_signature`` compute a point's argmin masks once and make no separate membership test, and
 a ``MultidegreeSet`` builds its down-closure once. The counts come from wrapping the functions
 at every ``mustafin`` module attribute that holds them. ``main`` builds its parser once per process,
@@ -27,7 +28,7 @@ import mustafin.multidegree as multidegree
 import mustafin.oracles as oracles
 import mustafin.tropical as tropical
 from mustafin.sampling import random_configuration, random_general_position_configuration
-from test_golden import DOCS, cli_stdout, recording
+from test_golden import COMMANDS, DOCS, cli_stdout, recording
 
 CONFIG = random_configuration(Random(1), 4, 4, -6, 6)
 GENERIC = random_general_position_configuration(Random(1), 4, 5, -6, 6)
@@ -145,10 +146,15 @@ def test_classify_builds_each_argmin_set_and_each_type_once(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(multidegree.CoordinateSubspace, "__post_init__", counted)
-    argmin_types = record_calls(monkeypatch, multidegree.ArgminType)
-    fiber.classify(CONFIG)
+    profiles = record_calls(monkeypatch, fiber.ReductionProfile)
+    closed_forms = record_calls(monkeypatch, multidegree.forest_multidegrees)
+    descriptors = fiber.classify(CONFIG)
     assert len(kernels) == len(sets) < len(points) * CONFIG.n
-    assert len(argmin_types) == len(types) < len(points)
+    assert len(profiles) == len(closed_forms) == len(types) < len(points)
+    first_of_type = {}
+    for desc in descriptors:
+        first = first_of_type.setdefault(desc.profile.argmins, desc)
+        assert desc.profile is first.profile and desc.table is first.table
 
 
 def test_generic_classify_scans_no_subsets_and_reads_each_table_once_per_type(monkeypatch):
@@ -173,6 +179,22 @@ def test_points_of_one_type_share_their_table_and_multidegrees():
         assert (desc.table, desc.p, desc.multidegrees) == (first.table, first.p, first.multidegrees)
         assert desc.table is first.table and desc.multidegrees is first.multidegrees
     assert len(first_of_type) < len(descriptors)
+
+
+def test_classify_graph_and_hull_never_build_the_point_set(monkeypatch):
+    enumerate_hull, hulls = hull.lattice_points, []
+
+    def kept(config):
+        hulls.append(enumerate_hull(config))
+        return hulls[-1]
+
+    patch_everywhere(monkeypatch, enumerate_hull, kept)
+    for doc in DOCS:
+        for name, (command, _) in COMMANDS.items():
+            if command in ("classify", "graph", "hull"):
+                assert cli_stdout(doc, name) == recording(doc, name).read_bytes(), (doc, name)
+    assert len(hulls) == 6 * len(DOCS)
+    assert not any("points" in vars(found) for found in hulls)
 
 
 def test_classification_report_enumerates_and_tests_position_once(monkeypatch):

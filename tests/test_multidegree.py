@@ -14,10 +14,12 @@ from mustafin import (
     intersection_dims,
     lattice_points,
     multidegree_set,
+    normalize,
     subspace,
 )
 from mustafin.errors import ContractError, UndefinedMapError
-from mustafin.multidegree import ArgminType, forest_multidegrees
+from mustafin.fiber import _describe
+from mustafin.multidegree import forest_multidegrees
 from mustafin.oracles import hilbert_by_inclusion_exclusion
 from mustafin.sampling import random_general_position_configuration
 
@@ -214,10 +216,11 @@ class TestForestTypes:
     @settings(max_examples=200, deadline=None)
     def test_argmin_type_equals_the_subset_scan(self, case):
         d, masks = case
-        kernels = kernels_of(d, masks)
-        table = intersection_dims(kernels)
-        mset, scan = ArgminType(masks, kernels).multidegrees, multidegree_set(d, table)
-        assert (mset.p, mset.tuples) == (scan.p, scan.tuples) == (dimension_p(d, table), scan.tuples)
+        table = intersection_dims(kernels_of(d, masks))
+        (desc,) = _describe(d, [normalize((0,) * d)], [tuple(masks)])
+        scan = multidegree_set(d, table)
+        assert (desc.p, desc.multidegrees.tuples) == (scan.p, scan.tuples) == (dimension_p(d, table), scan.tuples)
+        assert desc.table == table
 
     @given(argmin_mask_tuples())
     @example((3, [0b011, 0b011]))
