@@ -297,6 +297,54 @@ MUTANTS = [
         "    return found if found.points else found",
         "tests/test_compute_once.py::test_classify_graph_and_hull_never_build_the_point_set",
     ),
+    (
+        "src/mustafin/fiber.py",
+        "gp = all(desc.p == sum(desc.factor_dims) for desc in descriptors)",
+        "gp = all(desc.p <= sum(desc.factor_dims) for desc in descriptors)",
+        "tests/test_fiber.py::TestMonomialType::test_verdict_from_the_types_is_the_minor_scan",
+    ),
+    (
+        "src/mustafin/linked.py",
+        "steps = [(0, *bits) for bits in product((0, 1), repeat=d - 1)][1:]",
+        "steps = [(0, *bits) for bits in product((0, 1), repeat=d - 1)][:0:-1]",
+        "tests/test_compute_once.py::test_graph_streams_its_edges_and_builds_no_edge_maps",
+    ),
+    (
+        "src/mustafin/linked.py",
+        "key = forward, backward",
+        "key = forward",
+        "tests/test_linked.py::TestDot::test_each_edge_shows_its_own_diagonals",
+    ),
+    (
+        "src/mustafin/cli.py",
+        "*[d - 1 - f for f in desc.factor_dims]",
+        "*[d - f for f in desc.factor_dims]",
+        "tests/test_cli.py::test_reports_are_the_oracle_trees_rendered",
+    ),
+    (
+        "src/mustafin/cli.py",
+        "_vec(d - 1 - f for f in desc.factor_dims)",
+        "_vec(d - f for f in desc.factor_dims)",
+        "tests/test_cli.py::test_reports_are_the_oracle_trees_rendered",
+    ),
+    (
+        "src/mustafin/multidegree.py",
+        "return d - table.by_mask[-1] - len(set(cluster))",
+        "return min(2, d - table.by_mask[-1] - len(set(cluster)))",
+        "tests/test_multidegree.py::TestLevelScan::test_matches_exhaustive_levels",
+    ),
+    (
+        "src/mustafin/multidegree.py",
+        "return d - table.by_mask[-1] - len(set(cluster))",
+        "return d - (table.by_mask[0] + n) - len(set(cluster))",
+        "tests/test_multidegree.py::TestDimensionP",
+    ),
+    (
+        "src/mustafin/multidegree.py",
+        "(comb(v + hi, hi) - (comb(v + lo, lo) if lo >= 0 else 0))",
+        "(comb(v + 1 + hi, hi) - (comb(v + 1 + lo, lo) if lo >= 0 else 0))",
+        "tests/test_multidegree.py::TestHilbertFunction::test_single_factor_projective_space",
+    ),
 ]
 
 

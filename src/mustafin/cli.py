@@ -83,8 +83,8 @@ def classification_report(config: Configuration, echo: dict) -> Classification:
     descriptors = fiber.classify(config)
     counts = fiber.component_counts(config, descriptors)
     partition = fiber.multidegree_partition(config, descriptors)
-    # is_monomial_type is general position, checked against the secondary-count law.
-    return Classification(echo, descriptors, counts, partition, fiber.is_monomial_type(config, counts))
+    # is_monomial_type is general position, read from the types and checked against the secondary-count law.
+    return Classification(echo, descriptors, counts, partition, fiber.is_monomial_type(config, descriptors, counts))
 
 
 def hull_report(config: Configuration, echo: dict) -> tuple[dict, hull.HullLatticeSet]:
@@ -140,20 +140,22 @@ def _stream(report: dict) -> Iterator[str]:
 
 
 def classification_chunks(report: Classification) -> Iterator[str]:
-    """The classify JSON; a type's item is rendered once, from any descriptor of that type, with a slot for the
-    vertex, and each distinct argmin set and multidegree tuple once per call."""
+    """The classify JSON; a type's item fills one template per call from any descriptor of that type and keeps
+    a slot for the vertex, and each distinct argmin set and multidegree tuple is rendered once per call."""
     descs, d, n = report.descriptors, report.echo["d"], len(report.echo["points"])
     keys = [desc.profile.argmins for desc in descs]
     types = dict(zip(keys, descs))
     sets = {J: _ints(len(J), ENTRY) % tuple(sorted(J)) for J in {J for key in types for J in key}}
     tuple_at, per_factor, vertex = _ints(n, ENTRY), _ints(n, FIELD), _ints(d, FIELD)
     tuples = {m: tuple_at % m for m in {m for desc in types.values() for m in desc.multidegrees.tuples}}
-    items = {key: _object({
-        "argmins": _array([sets[J] for J in key], FIELD), "factor_dims": per_factor % desc.factor_dims,
-        "is_component": BOOLS[desc.is_component], "is_primary": BOOLS[desc.is_primary],
-        "kernel_dims": per_factor % tuple(w.dim for w in desc.profile.kernels),
-        "multidegrees": _array([tuples[m] for m in desc.multidegrees.sorted_tuples()], FIELD),
-        "p": str(desc.p), "vertex": vertex}, ITEM) for key, desc in types.items()}
+    # Slots in sorted key order; the vertex slots are escaped so that they survive the type's fill.
+    item = _object({
+        "argmins": "%s", "factor_dims": per_factor, "is_component": "%s", "is_primary": "%s",
+        "kernel_dims": per_factor, "multidegrees": "%s", "p": "%d", "vertex": vertex.replace("%", "%%")}, ITEM)
+    items = {key: item % (
+        _array([sets[J] for J in key], FIELD), *desc.factor_dims, BOOLS[desc.is_component],
+        BOOLS[desc.is_primary], *[d - 1 - f for f in desc.factor_dims],
+        _array([tuples[m] for m in desc.multidegrees.sorted_tuples()], FIELD), desc.p) for key, desc in types.items()}
     points = [desc.vertex for desc in descs]
     entry = _object({"multidegree": per_factor, "vertex": vertex}, ITEM)
     return _stream({
@@ -178,8 +180,9 @@ def _vec(values) -> str:
 
 
 def render_classification_table(report: Classification) -> str:
+    d = report.echo["d"]
     rows = [
-        [_vec(desc.vertex.coords), _vec(desc.factor_dims), _vec(w.dim for w in desc.profile.kernels), str(desc.p),
+        [_vec(desc.vertex.coords), _vec(desc.factor_dims), _vec(d - 1 - f for f in desc.factor_dims), str(desc.p),
          "yes" if desc.is_component else "no",
          "primary" if desc.is_primary else ("secondary" if desc.is_component else "-"),
          " ".join(_vec(m) for m in desc.multidegrees.sorted_tuples())]
@@ -225,17 +228,18 @@ def cmd_hilbert(args) -> int:
 
 def cmd_graph(args) -> int:
     config, echo = load_document(args.path)
-    graph = linked.build_graph(config)
+    points = hull.lattice_points(config)
+    edges = linked.hull_edges(points)
     if args.dot:
-        sys.stdout.writelines(line + "\n" for line in linked.dot_lines(graph))
+        sys.stdout.writelines(line + "\n" for line in linked.dot_lines(config.d, points, edges))
         return EXIT_OK
     end = _ints(config.d, FIELD)
 
     def edge(forward: tuple[int, ...], backward: tuple[int, ...]) -> str:
         return _object({"backward": end % backward, "forward": end % forward, "u": end, "v": end}, ITEM)
 
-    edges, vertices = linked.render_edges(graph, edge), map(_ints(config.d, ITEM).__mod__, graph.vertices)
-    sys.stdout.writelines(_stream({"config": echo, "edges": edges, "vertices": vertices}))
+    vertices = map(_ints(config.d, ITEM).__mod__, points)
+    sys.stdout.writelines(_stream({"config": echo, "edges": linked.render_edges(edges, edge), "vertices": vertices}))
     return EXIT_OK
 
 

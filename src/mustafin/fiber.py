@@ -9,8 +9,8 @@ map has full dimension d-1, which the multidegree engine decides exactly.
 The hull walk ``hull.lattice_points`` carries the argmin sets of every point it enumerates as bitmasks, and
 ``hull._argmin_masks`` computes them in the same format for single points; one routine turns masks into one
 reduction profile per argmin type for both. Per-type fields are computed once per argmin type, M(p) in closed
-form when the type graph is a forest and the d_I table only when read; primacy is read from the argmin sets.
-The oracles, the acceptance suite and the benchmark keep independent copies on purpose.
+form when the type graph is a forest and the d_I table only when read; primacy and general position are read
+from the argmin types. The oracles, the acceptance suite and the benchmark keep independent copies on purpose.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .multidegree import (
     intersection_dims,
     multidegree_set,
 )
-from .tropical import Configuration, TorusPoint, is_general_position, normalize
+from .tropical import Configuration, TorusPoint, normalize
 
 
 @dataclass(frozen=True)
@@ -172,17 +172,31 @@ def component_counts(
     return ComponentCounts(total, primary, total - primary)
 
 
-def is_monomial_type(config: Configuration, counts: ComponentCounts | None = None) -> bool:
-    """True iff the fiber is cut out by monomials.
+def is_monomial_type(config: Configuration, descriptors: Sequence[ComponentDescriptor] | None = None,
+                     counts: ComponentCounts | None = None) -> bool:
+    """True iff the fiber is cut out by monomials: tropical general position, read from the argmin types and
+    cross-asserted with the secondary count reaching binom(n+d-2, d-1) - n. ``descriptors`` and ``counts`` are the
+    fiber's classification and component counts, computed when not given.
 
-    Equivalent both to tropical general position and to the secondary
-    count reaching binom(n+d-2, d-1) - n; both are computed and
-    cross-asserted. ``counts`` are the fiber's component counts, computed
-    from a classification when not given.
+    General position holds iff every type graph (factor i joined to the coordinates of J_i) is a forest, iff every
+    descriptor has p = sum(factor_dims): the difference is the cyclomatic number (``forest_multidegrees``). Proof,
+    with g_i = v_i and c_i = min_j(g_ij - x_j) at a hull point x, so that j is in J_i iff g_ij - x_j = c_i:
+    - A cycle i_1 j_1 ... i_r j_r at x makes the minor on its rows and columns singular: every permutation s has
+      sum g_is(i) >= sum c_i + sum x_j, with equality iff each s(i) is in J_i, as for i_k -> j_k and i_k -> j_(k-1).
+    - A singular minor on rows R and columns C has optimal permutations s != t and an integral optimal dual
+      a_i + b_j <= g_ij of the assignment LP, tight on both. At x_j = b_j on C and x_j = -M off C, M large, s(i)
+      and t(i) lie in J_i for i in R, and s and t differ on a cycle. The projection y = min_i(l_i + g_i),
+      l_i = max_j(x_j - g_ij), is an integral hull point with y_j = x_j on J_i(x) and y_j - g_ij <= l_i, so
+      J_i(y) contains J_i(x) and the cycle.
+    Equivalently, the regular subdivision of the product of simplices is a triangulation (Develin-Sturmfels,
+    Tropical convexity, Doc. Math. 2004; Develin-Santos-Sturmfels, On the rank of a tropical matrix, MSRI Publ.
+    52, 2005).
     """
-    gp = is_general_position(config)
+    if descriptors is None:
+        descriptors = classify(config)
     if counts is None:
-        counts = component_counts(config)
+        counts = component_counts(config, descriptors)
+    gp = all(desc.p == sum(desc.factor_dims) for desc in descriptors)
     saturated = counts.secondary == comb(config.n + config.d - 2, config.d - 1) - config.n
     if gp != saturated:
         raise InvariantViolationError(

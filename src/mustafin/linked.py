@@ -15,14 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import product, starmap
+from itertools import product
 from math import prod
-from operator import add, mod, mul
-from typing import Callable, Iterator, Sequence
+from operator import mul
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .apartment import is_adjacent
 from .errors import ContractError, DimensionError, DomainError
-from .hull import contains, lattice_points
+from .hull import HullLatticeSet, contains, lattice_points
 from .tropical import Configuration, TorusPoint, _segment_points
 
 
@@ -84,8 +84,8 @@ def step_diagonal(u: TorusPoint, v: TorusPoint) -> tuple[int, ...]:
     return tuple(1 if value == lo else 0 for value in diff)
 
 
-def build_graph(config: Configuration) -> LinkedGraph:
-    """Linked graph on the hull lattice points of a configuration.
+def hull_edges(hull: HullLatticeSet) -> Iterator[tuple[TorusPoint, TorusPoint, tuple[int, ...], tuple[int, ...]]]:
+    """Each edge (u, u + e_S) of the linked graph on ``hull`` and its forward and backward diagonals, sorted.
 
     Modulo all-ones, adjacent classes differ by +e_S or -e_S for a nonempty S
     of {2..d}, so every edge is u -> u + e_S from one end: each vertex looks up
@@ -94,22 +94,29 @@ def build_graph(config: Configuration) -> LinkedGraph:
     A vector x is looked up by its code sum_j x_j B^(d-j), B = max - min + 2 over the hull's coordinates. Less
     the minimum, hull coordinates are digits in [0, B - 2] and those of u + e_S in [0, B - 1], so adding e_S
     carries nowhere, code(u + e_S) = code(u) + code(e_S), and two vectors with digits in [0, B - 1] have equal
-    codes only if they are equal. Points in order and steps in lexicographic order make the keys (u, u + e_S)
+    codes only if they are equal. Points in order and steps in lexicographic order make the pairs (u, u + e_S)
     arrive sorted.
     """
-    hull = lattice_points(config)
+    d = hull.config.d
     base = max(map(max, hull)) - min(map(min, hull)) + 2
-    weights = [base ** (config.d - 1 - j) for j in range(config.d)]
+    weights = [base ** (d - 1 - j) for j in range(d)]
     own = {sum(map(mul, u, weights)): u for u in hull}
-    steps = [(0, *bits) for bits in product((0, 1), repeat=config.d - 1)][1:]
+    steps = [(0, *bits) for bits in product((0, 1), repeat=d - 1)][1:]
     moves = [(sum(map(mul, step, weights)), tuple(1 - b for b in step), step) for step in steps]
-    edge_maps: dict[tuple[TorusPoint, TorusPoint], tuple[int, ...]] = {}
     for code, u in own.items():
         for shift, forward, backward in moves:
             v = own.get(code + shift)
             if v is not None:
-                edge_maps[u, v] = forward
-                edge_maps[v, u] = backward
+                yield u, v, forward, backward
+
+
+def build_graph(config: Configuration) -> LinkedGraph:
+    """Linked graph on the hull lattice points of a configuration, its edge maps filled from ``hull_edges``."""
+    hull = lattice_points(config)
+    edge_maps: dict[tuple[TorusPoint, TorusPoint], tuple[int, ...]] = {}
+    for u, v, forward, backward in hull_edges(hull):
+        edge_maps[u, v] = forward
+        edge_maps[v, u] = backward
     return LinkedGraph(config.d, hull.ordered, edge_maps)
 
 
@@ -205,29 +212,32 @@ def _root_maps(config: Configuration, root: TorusPoint) -> list[tuple[int, ...]]
     return [_compose(config.d, (step_diagonal(u, v) for u, v in zip(p, p[1:]))) for p in paths]
 
 
-def render_edges(graph: LinkedGraph, template: Callable[[tuple[int, ...], tuple[int, ...]], str]) -> Iterator[str]:
-    """``template(forward, backward) % (u + v)`` for each edge (u, v) of ``graph.edges``, with one template per
-    step pattern. The forward diagonal names the pattern: in a built graph the backward one is its complement."""
-    edges, maps = graph.edges, graph.edge_maps
-    forwards = [maps[edge] for edge in edges]
-    templates = {f: template(f, graph.diagonal(v, u)) for f, (u, v) in dict(zip(forwards, edges)).items()}
-    return map(mod, map(templates.__getitem__, forwards), starmap(add, edges))
+def render_edges(edges: Iterable[tuple], template: Callable[[tuple[int, ...], tuple[int, ...]], str]) -> Iterator[str]:
+    """``template(forward, backward) % (u + v)`` for each edge (u, v, forward, backward), with one template per
+    pair of diagonals."""
+    templates = {}
+    for u, v, forward, backward in edges:
+        key = forward, backward
+        if key not in templates:
+            templates[key] = template(forward, backward)
+        yield templates[key] % (u + v)
 
 
-def dot_lines(graph: LinkedGraph) -> Iterator[str]:
-    """The lines of ``graph_to_dot``, one at a time; edge labels show the two diagonal supports."""
-    name = '"' + ",".join(["%d"] * graph.d) + '"'
+def dot_lines(d: int, vertices: Iterable[TorusPoint], edges: Iterable[tuple]) -> Iterator[str]:
+    """The DOT lines of a graph, one at a time; edge labels show the two diagonal supports."""
+    name = '"' + ",".join(["%d"] * d) + '"'
 
     def edge(*diagonals: tuple[int, ...]) -> str:
         label = " / ".join("{" + ",".join(str(j + 1) for j, a in enumerate(diag) if a) + "}" for diag in diagonals)
         return f'  {name} -- {name} [label="{label}"];'
 
     yield "graph hull {"
-    yield from map(f"  {name};".__mod__, graph.vertices)
-    yield from render_edges(graph, edge)
+    yield from map(f"  {name};".__mod__, vertices)
+    yield from render_edges(edges, edge)
     yield "}"
 
 
 def graph_to_dot(graph: LinkedGraph) -> str:
     """DOT rendering; edge labels show the two diagonal supports."""
-    return "\n".join(dot_lines(graph))
+    edges = ((u, v, graph.diagonal(u, v), graph.diagonal(v, u)) for u, v in graph.edges)
+    return "\n".join(dot_lines(graph.d, graph.vertices, edges))

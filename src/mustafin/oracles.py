@@ -5,11 +5,13 @@ expansion, the neighbour lookups and the hull-point signature machinery,
 so that each check in the test suite and in ``verify`` compares two
 independent routes.
 
-The report trees at the end check the CLI's renderers rather than the mathematics:
-they take their values from the library and build one dict per hull point or edge,
-and ``json.dumps(tree, indent=2, sort_keys=True)`` plus a newline is what the
-``classify``, ``hull`` and ``graph`` commands print, which stream the same text from
-fragments rendered once per argmin type, vertex or step pattern.
+The report trees at the end check the CLI's renderers: they build one dict per hull
+point or edge, and ``json.dumps(tree, indent=2, sort_keys=True)`` plus a newline is
+what the ``classify``, ``hull`` and ``graph`` commands print, which stream the same
+text from templates made once per argmin type, vertex or pair of diagonals. The trees take
+most values from the library, but general position from the minor scan and the edges
+from the all-pairs adjacency scan, so they also check the CLI's verdict from the
+argmin types and its edges streamed from the hull walk's integer codes.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ from math import comb, prod
 from typing import Sequence
 
 from .apartment import DiagonalLatticeClass, class_to_point, intersection_class, is_adjacent, point_to_class
-from .fiber import classify, component_counts, is_monomial_type, multidegree_partition
+from .fiber import classify, component_counts, multidegree_partition
 from .hull import lattice_points
-from .linked import build_graph, step_diagonal
+from .linked import step_diagonal
 from .multidegree import MultidegreeSet
-from .tropical import Configuration, TorusPoint, normalize, tropical_combination
+from .tropical import Configuration, TorusPoint, is_general_position, normalize, tropical_combination
 
 
 def bounding_box(config: Configuration) -> list[tuple[int, int]]:
@@ -178,7 +180,7 @@ def classification_tree(config: Configuration, echo: dict) -> dict:
                 "multidegrees": [list(m) for m in desc.multidegrees.sorted_tuples()],
             }
         )
-    monomial = is_monomial_type(config, counts)
+    monomial = is_general_position(config)
     return {
         "config": echo,
         "general_position": monomial,
@@ -206,18 +208,13 @@ def hull_tree(config: Configuration, echo: dict) -> dict:
 
 
 def graph_tree(config: Configuration, echo: dict) -> dict:
-    """The ``graph`` report with one dict per edge."""
-    graph = build_graph(config)
+    """The ``graph`` report with one dict per edge, the edges from the all-pairs adjacency scan."""
+    maps = edge_maps_by_pair_scan(config)
     return {
         "config": echo,
-        "vertices": [list(v.coords) for v in graph.vertices],
+        "vertices": [list(v.coords) for v in lattice_points(config)],
         "edges": [
-            {
-                "u": list(u.coords),
-                "v": list(v.coords),
-                "forward": list(graph.diagonal(u, v)),
-                "backward": list(graph.diagonal(v, u)),
-            }
-            for u, v in graph.edges
+            {"u": list(u.coords), "v": list(v.coords), "forward": list(maps[u, v]), "backward": list(maps[v, u])}
+            for u, v in sorted(edge for edge in maps if edge[0] < edge[1])
         ],
     }

@@ -177,11 +177,10 @@ def singular_square_minor(
 
 
 def is_general_position(config: Configuration) -> bool:
-    """True iff no square minor of the point matrix is tropically singular.
+    """True iff no square minor of the point matrix is tropically singular, by the minor scan.
 
-    Full genericity (every size, not only maximal minors) is what makes
-    the induced subdivision a triangulation; it is exactly the hypothesis
-    under which the hull has binom(n+d-2, d-1) polyhedral vertices and the
-    skeleton-signature map is a bijection onto the multidegree tuples.
+    Full genericity (every size, not only maximal minors) is what makes the induced subdivision a
+    triangulation. ``classify`` reads it from the argmin types instead (``fiber.is_monomial_type``); this
+    scan is the route of ``gp`` and that verdict's oracle.
     """
     return singular_square_minor(config) is None

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from itertools import zip_longest
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -360,7 +362,9 @@ class TestErrorHandling:
         assert json.loads(err)["error"]["code"] == "parse"
 
     def test_invariant_violation_is_one_invariant_record(self, capsys, triple_doc, monkeypatch):
-        monkeypatch.setattr(fiber, "is_general_position", lambda config: not tropical.is_general_position(config))
+        # p one above the sum of the factor dimensions reads as a cycle in every type of the generic triple.
+        classify = fiber.classify
+        monkeypatch.setattr(fiber, "classify", lambda config: [replace(d, p=d.p + 1) for d in classify(config)])
         code, out, err = run(capsys, ["classify", triple_doc])
         assert (code, out) == (4, "")
         [record] = err.splitlines()
@@ -482,6 +486,15 @@ def classification_table(tree):
     )
 
 
+def assert_same_text(got, want, what):
+    """``got == want``; a mismatch names its first differing line, where pytest's diff of two whole reports
+    takes minutes on every failing example hypothesis tries."""
+    if got != want:
+        k, pair = next((k, pair) for k, pair in enumerate(zip_longest(got.splitlines(), want.splitlines()))
+                       if pair[0] != pair[1])
+        pytest.fail(f"{what}: line {k + 1} is {pair[0]!r}, expected {pair[1]!r}")
+
+
 @given(REPORT_CONFIGS, LABELS)
 @settings(max_examples=60, deadline=None)
 def test_reports_are_the_oracle_trees_rendered(tmp_path_factory, config, label):
@@ -493,10 +506,14 @@ def test_reports_are_the_oracle_trees_rendered(tmp_path_factory, config, label):
     builders = {"classify": oracles.classification_tree, "hull": oracles.hull_tree, "graph": oracles.graph_tree}
     trees = {command: build(config, echo) for command, build in builders.items()}
     for command, tree in trees.items():
-        assert stdout_of([command, doc]) == json.dumps(tree, indent=2, sort_keys=True) + "\n", command
-    assert stdout_of(["classify", doc, "--format", "table"]) == classification_table(trees["classify"])
+        assert_same_text(stdout_of([command, doc]), json.dumps(tree, indent=2, sort_keys=True) + "\n", command)
+    assert_same_text(stdout_of(["classify", doc, "--format", "table"]), classification_table(trees["classify"]),
+                     "classify table")
+    scanned = linked.LinkedGraph(config.d, hull.lattice_points(config).ordered, oracles.edge_maps_by_pair_scan(config))
+    assert_same_text(stdout_of(["graph", doc, "--dot"]), linked.graph_to_dot(scanned) + "\n", "graph --dot")
     hull_rows = [[vec(point)] for point in trees["hull"]["hull"]]
-    assert stdout_of(["hull", doc, "--format", "table"]) == layout(["hull lattice point"], hull_rows)
+    assert_same_text(stdout_of(["hull", doc, "--format", "table"]), layout(["hull lattice point"], hull_rows),
+                     "hull table")
 
 
 def test_argmin_sets_print_sorted_where_a_set_iterates_out_of_order(tmp_path):

@@ -1,17 +1,17 @@
 """Each value is computed once per call.
 
-``lattice_points`` makes no membership test, points it has just enumerated
-are not tested for hull membership again, a CLI classification report enumerates the hull and
-tests general position once, a CLI ``classify`` counts components once, and ``verify`` classifies
-once. ``classify`` and ``locate_by_multidegree`` read the argmin sets the enumeration carries, and
-``classify`` builds each distinct argmin set's kernel once and one reduction profile and one M(p) per argmin
-type, shared by the type's descriptors; on a generic configuration it scans no subsets and builds a type's
-d_I table only when a descriptor reads it, once per type. ``classify``, ``graph`` and ``hull`` never build
-the hull's point set. ``reduction_profile``, ``describe_vertex`` and
-``skeleton_signature`` compute a point's argmin masks once and make no separate membership test, and
-a ``MultidegreeSet`` builds its down-closure once. The counts come from wrapping the functions
-at every ``mustafin`` module attribute that holds them. ``main`` builds its parser once per process,
-and a call's options do not leak into the next call.
+``lattice_points`` makes no membership test, points it has just enumerated are not tested for hull
+membership again, a CLI classification report enumerates the hull once and reads general position from the
+argmin types without evaluating a minor, ``graph`` and ``graph --dot`` stream their edges from the hull walk
+and build no edge maps, a CLI ``classify`` counts components once, and ``verify`` classifies once.
+``classify`` and ``locate_by_multidegree`` read the argmin sets the enumeration carries, and ``classify``
+builds each distinct argmin set's kernel once and one reduction profile and one M(p) per argmin type, shared
+by the type's descriptors; on a generic configuration it scans no subsets and builds a type's d_I table only
+when a descriptor reads it, once per type. ``classify``, ``graph`` and ``hull`` never build the hull's point
+set. ``reduction_profile``, ``describe_vertex`` and ``skeleton_signature`` compute a point's argmin masks
+once and make no separate membership test, and a ``MultidegreeSet`` builds its down-closure once. The counts
+come from wrapping the functions at every ``mustafin`` module attribute that holds them. ``main`` builds its
+parser once per process, and a call's options do not leak into the next call.
 """
 
 import argparse
@@ -24,6 +24,7 @@ from random import Random
 import mustafin.cli as cli
 import mustafin.fiber as fiber
 import mustafin.hull as hull
+import mustafin.linked as linked
 import mustafin.multidegree as multidegree
 import mustafin.oracles as oracles
 import mustafin.tropical as tropical
@@ -197,12 +198,25 @@ def test_classify_graph_and_hull_never_build_the_point_set(monkeypatch):
     assert not any("points" in vars(found) for found in hulls)
 
 
-def test_classification_report_enumerates_and_tests_position_once(monkeypatch):
+def test_classification_report_enumerates_once_and_evaluates_no_minor(monkeypatch):
+    generic = {config: tropical.is_general_position(config) for config in (CONFIG, GENERIC)}
     enumerations = record_calls(monkeypatch, hull.lattice_points)
     position_tests = record_calls(monkeypatch, tropical.is_general_position)
-    cli.classification_report(CONFIG, {"d": CONFIG.d})
-    assert len(enumerations) == 1
-    assert len(position_tests) == 1
+    minor_scans = record_calls(monkeypatch, tropical._minor_determinants)
+    for config in (CONFIG, GENERIC):
+        enumerations.clear()
+        assert cli.classification_report(config, {"d": config.d}).monomial == generic[config] == (config is GENERIC)
+        assert len(enumerations) == 1
+    assert position_tests == [] and minor_scans == []
+
+
+def test_graph_streams_its_edges_and_builds_no_edge_maps(monkeypatch):
+    builds = record_calls(monkeypatch, linked.build_graph)
+    graphs = record_calls(monkeypatch, linked.LinkedGraph)
+    for doc in DOCS:
+        for name in ("graph", "graph-dot"):
+            assert cli_stdout(doc, name) == recording(doc, name).read_bytes(), (doc, name)
+    assert builds == [] and graphs == []
 
 
 def test_classify_counts_components_once(monkeypatch):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from math import comb
 from random import Random
 
@@ -5,7 +6,6 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-import mustafin.fiber as fiber
 from mustafin import (
     classify,
     component_counts,
@@ -130,13 +130,30 @@ class TestMonomialType:
     def test_degenerate_pair(self, degenerate_pair):
         assert not is_monomial_type(degenerate_pair)
 
-    def test_disagreeing_general_position_is_an_invariant_violation(
-        self, collinear_triple, degenerate_pair, monkeypatch
-    ):
-        monkeypatch.setattr(fiber, "is_general_position", lambda config: not is_general_position(config))
+    def test_disagreeing_general_position_is_an_invariant_violation(self, collinear_triple, degenerate_pair):
+        # The verdict is p = sum(factor_dims) at every point: move one p off it, or put every p on it.
         for cfg in (collinear_triple, degenerate_pair):
+            descriptors = classify(cfg)
+            counts = component_counts(cfg, descriptors)
+            if is_general_position(cfg):
+                flipped = [replace(descriptors[0], p=descriptors[0].p + 1), *descriptors[1:]]
+            else:
+                flipped = [replace(desc, p=sum(desc.factor_dims)) for desc in descriptors]
+            assert is_monomial_type(cfg, descriptors, counts) == is_general_position(cfg)
             with pytest.raises(InvariantViolationError, match="secondary-count law"):
-                is_monomial_type(cfg)
+                is_monomial_type(cfg, flipped, counts)
+
+    @given(st.integers(min_value=0, max_value=2**32), st.booleans(), st.integers(2, 5), st.integers(1, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_verdict_from_the_types_is_the_minor_scan(self, seed, generic, d, n):
+        # Every configuration with d = 2 or n = 1 is in general position. Generic draws need a spread that grows
+        # with n; at d = 5 and n >= 6 their hulls take seconds, so n stops at 5 there.
+        if generic:
+            n = min(n, 5) if d == 5 else n
+            cfg = random_general_position_configuration(Random(seed), d, n, -2 * n, 2 * n)
+        else:
+            cfg = random_degenerate_configuration(Random(seed), max(d, 3), max(n, 2), -3, 3)
+        assert is_monomial_type(cfg) == is_general_position(cfg) == generic
 
 
 class TestRealizeComponent:

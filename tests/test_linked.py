@@ -345,3 +345,11 @@ class TestDot:
         assert dot.startswith("graph hull {") and dot.endswith("}")
         assert '"0,0"' in dot and '"0,1"' in dot
         assert '{1} / {2}' in dot
+
+    def test_each_edge_shows_its_own_diagonals(self):
+        # A hand-made graph may give two edges one forward diagonal and different backward ones.
+        u, v, w = normalize((0, 0)), normalize((0, 1)), normalize((0, 2))
+        graph = LinkedGraph(2, (u, v, w), {(u, v): (1, 0), (v, u): (0, 1), (v, w): (1, 0), (w, v): (1, 1)})
+        assert graph_to_dot(graph).splitlines()[-3:] == [
+            '  "0,0" -- "0,1" [label="{1} / {2}"];', '  "0,1" -- "0,2" [label="{1} / {1,2}"];', "}"
+        ]
