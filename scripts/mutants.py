@@ -117,14 +117,14 @@ MUTANTS = [
     ),
     (
         "src/mustafin/multidegree.py",
-        "if d - sums[mask] <= table.by_mask[mask]:",
-        "if d - sums[mask] < table.by_mask[mask]:",
+        "if total > limit:",
+        "if total > limit + 1:",
         "tests/test_multidegree.py::TestLevelScan::test_matches_exhaustive_levels",
     ),
     (
         "src/mustafin/multidegree.py",
-        "        for mask in range(1, 1 << n):\n            low",
-        "        for mask in range(1, (1 << n) - 1):\n            low",
+        "for mask in range(1, 1 << n) if mask & (mask - 1)",
+        "for mask in range(1, (1 << n) - 1) if mask & (mask - 1)",
         "tests/test_multidegree.py::TestAdmissibleTuples::test_every_output_satisfies_every_inequality",
     ),
     (
@@ -183,14 +183,14 @@ MUTANTS = [
     ),
     (
         "src/mustafin/hull.py",
-        "m | bit if t == u",
-        "m if t == u",
+        "cur[order[reached]] = masks[order[reached]] | bit",
+        "cur[order[reached]] = masks[order[reached]]",
         "tests/test_hull.py::TestLatticePoints::test_carried_masks_are_the_argmin_sets",
     ),
     (
         "src/mustafin/hull.py",
-        "m if t < u else",
-        "m if t <= u else",
+        "ups[order[reached]] == t:",
+        "ups[order[reached]] < t:",
         "tests/test_hull.py::TestLatticePoints::test_carried_masks_are_the_argmin_sets",
     ),
     (
@@ -206,15 +206,15 @@ MUTANTS = [
         "tests/test_linked.py::TestBuildGraph::test_edges_and_neighbors_equal_scans_of_the_edge_maps",
     ),
     (
-        "src/mustafin/multidegree.py",
-        "elif meet & (meet - 1) == 0:",
-        "elif meet & (meet - 1) >= 0:",
+        "src/mustafin/fiber.py",
+        "forest = forest and meet & (meet - 1) == 0",
+        "forest = forest and meet & (meet - 1) >= 0",
         "tests/test_multidegree.py::TestForestTypes::test_argmin_type_equals_the_subset_scan",
     ),
     (
-        "src/mustafin/multidegree.py",
-        "caps = tuple(J.bit_count() - 1 for J in masks)",
-        "caps = tuple(J.bit_count() for J in masks)",
+        "src/mustafin/fiber.py",
+        "frozenset([tuple([J.bit_count() - 1 for J in masks])])",
+        "frozenset([tuple([J.bit_count() for J in masks])])",
         "tests/test_multidegree.py::TestForestTypes::test_argmin_type_equals_the_subset_scan",
     ),
     (
@@ -286,8 +286,7 @@ MUTANTS = [
     (
         "src/mustafin/fiber.py",
         "ComponentDescriptor(v, *records[masks])",
-        "ComponentDescriptor(v, ReductionProfile(records[masks][0].argmins, records[masks][0].kernels),"
-        " *records[masks][1:])",
+        "ComponentDescriptor(v, ReductionProfile(d, masks, records[masks][0].argmins), *records[masks][1:])",
         "tests/test_compute_once.py::test_classify_builds_each_argmin_set_and_each_type_once",
     ),
     (
@@ -344,6 +343,36 @@ MUTANTS = [
         "(comb(v + hi, hi) - (comb(v + lo, lo) if lo >= 0 else 0))",
         "(comb(v + 1 + hi, hi) - (comb(v + 1 + lo, lo) if lo >= 0 else 0))",
         "tests/test_multidegree.py::TestHilbertFunction::test_single_factor_projective_space",
+    ),
+    (
+        "src/mustafin/hull.py",
+        "while ups[order[passed]] < t:",
+        "while ups[order[passed]] <= t:",
+        "tests/test_hull.py::TestLatticePoints::test_shared_breakpoints_keep_the_masks_and_the_points",
+    ),
+    (
+        "src/mustafin/hull.py",
+        "cur[order[reached]] = masks[order[reached]] | bit",
+        "cur[order[reached]] = bit",
+        "tests/test_hull.py::TestLatticePoints::test_shared_breakpoints_keep_the_masks_and_the_points",
+    ),
+    (
+        "src/mustafin/fiber.py",
+        "p = sum(map(int.bit_count, components)) - len(components)",
+        "p = sum(map(int.bit_count, components)) - len(components) + 1",
+        "tests/test_multidegree.py::TestForestTypes::test_one_pass_equals_dimension_p_and_the_subset_scan",
+    ),
+    (
+        "src/mustafin/multidegree.py",
+        "max(0, rem - later)",
+        "max(0, rem - later + 1)",
+        "tests/test_multidegree.py::TestAdmissibleTuples::test_equals_the_product_scan",
+    ),
+    (
+        "src/mustafin/multidegree.py",
+        "if total > limit:",
+        "if total >= limit:",
+        "tests/test_multidegree.py::TestAdmissibleTuples::test_equals_the_product_scan",
     ),
 ]
 

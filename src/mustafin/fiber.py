@@ -8,9 +8,11 @@ map has full dimension d-1, which the multidegree engine decides exactly.
 
 The hull walk ``hull.lattice_points`` carries the argmin sets of every point it enumerates as bitmasks, and
 ``hull._argmin_masks`` computes them in the same format for single points; one routine turns masks into one
-reduction profile per argmin type for both. Per-type fields are computed once per argmin type, M(p) in closed
-form when the type graph is a forest and the d_I table only when read; primacy and general position are read
-from the argmin types. The oracles, the acceptance suite and the benchmark keep independent copies on purpose.
+reduction profile per argmin type for both. A profile holds the masks and their sets; its kernels and its d_I
+table are built only when read. Per-type fields are computed once per argmin type: one pass over the masks
+(``type_multidegrees``) gives p, the forest verdict and, on a forest, M(p) in closed form; only a type with a
+cycle reads the table. Primacy and general position are read from the argmin types. The oracles, the
+acceptance suite and the benchmark keep independent copies on purpose.
 """
 
 from __future__ import annotations
@@ -22,37 +24,33 @@ from typing import NamedTuple, Sequence
 
 from .errors import ContractError, InvariantViolationError
 from .hull import _hull_point_masks, lattice_points
-from .multidegree import (
-    CoordinateSubspace,
-    DIndexTable,
-    MultidegreeSet,
-    _tuples_with_sum,
-    dimension_p,
-    forest_multidegrees,
-    intersection_dims,
-    multidegree_set,
-)
+from .multidegree import (CoordinateSubspace, DIndexTable, MultidegreeSet, _kernel_table, _tuples_with_sum,
+                          admissible_tuples, dimension_p, intersection_dims)
 from .tropical import Configuration, TorusPoint, normalize
 
 
 @dataclass(frozen=True)
 class ReductionProfile:
-    """Per-factor reduction data of the diagonal maps at the hull points of one argmin type."""
+    """Per-factor reduction data of the diagonal maps at the hull points of one argmin type: ``argmins[i]`` is
+    J_i, ``masks[i]`` the same set as a bitmask (bit j - 1 for coordinate j); kernel i is spanned by the e_j off J_i."""
 
+    d: int
+    masks: tuple[int, ...]
     argmins: tuple[frozenset[int], ...]
-    kernels: tuple[CoordinateSubspace, ...]
 
     def diagonals(self) -> tuple[tuple[int, ...], ...]:
         """0/1 diagonal of each factor map: 1 exactly on the argmin set."""
-        d = self.kernels[0].d
-        return tuple(
-            tuple(1 if j + 1 in J else 0 for j in range(d)) for J in self.argmins
-        )
+        return tuple(tuple(mask >> j & 1 for j in range(self.d)) for mask in self.masks)
+
+    @cached_property
+    def kernels(self) -> tuple[CoordinateSubspace, ...]:
+        """The kernels, built on first read and kept by this profile."""
+        return tuple(CoordinateSubspace(self.d, frozenset(range(1, self.d + 1)) - J) for J in self.argmins)
 
     @cached_property
     def table(self) -> DIndexTable:
-        """The d_I table of the kernels, built on first read and kept by this profile."""
-        return intersection_dims(self.kernels)
+        """The d_I table of the kernels, built from their bitmasks on first read and kept by this profile."""
+        return _kernel_table(self.d, [(1 << self.d) - 1 ^ mask for mask in self.masks])
 
 
 @dataclass(frozen=True)
@@ -93,14 +91,34 @@ def reduction_profile(config: Configuration, v: TorusPoint) -> ReductionProfile:
 
 
 def _profiles(d: int, types: Sequence[tuple[int, ...]]) -> dict:
-    """One profile per distinct argmin type (a tuple of argmin masks); each distinct mask becomes a frozenset and
-    a kernel once."""
-    full = frozenset(range(1, d + 1))
-    sets = {}
-    for mask in {mask for masks in types for mask in masks}:
-        J = frozenset(j for j in full if mask >> (j - 1) & 1)
-        sets[mask] = J, CoordinateSubspace(d, full - J)
-    return {masks: ReductionProfile(*zip(*map(sets.get, masks))) for masks in set(types)}
+    """One profile per distinct argmin type (a tuple of argmin masks); each distinct mask becomes a frozenset once."""
+    bits, distinct = [(1 << (j - 1), j) for j in range(1, d + 1)], {mask for masks in types for mask in masks}
+    sets = {mask: frozenset([j for bit, j in bits if mask & bit]) for mask in distinct}
+    return {masks: ReductionProfile(d, masks, tuple(map(sets.get, masks))) for masks in set(types)}
+
+
+def type_multidegrees(profile: ReductionProfile) -> MultidegreeSet:
+    """M(p) of an argmin type from one merge pass over its masks, reading the d_I table only on a cycle.
+
+    The type graph joins factor i to the coordinates of J_i. The pass merges each J_i with the components (unions
+    of overlap clusters) it meets; factor i closes a cycle iff J_i meets one in two or more coordinates. With k
+    components and U = union J_i, p = |U| - k (``dimension_p``), i.e. d - k at a hull type. On a forest, with
+    t_i = |J_i| - 1, the singleton constraints give m_i <= t_i in every M(h); the cyclomatic number sum |J_i| -
+    n - |U| + k = sum t_i - p is 0, M(p) is nonempty by ``dimension_p``'s spanning-tree argument, and the only
+    tuple under the caps t with sum t_i is t. With a cycle, M(p) is the subset scan on the table.
+    """
+    masks, components, forest = profile.masks, [], True
+    for J in masks:
+        merged = J
+        for C in components:
+            if meet := C & J:
+                forest = forest and meet & (meet - 1) == 0
+                merged |= C
+        components = [C for C in components if not C & J] + [merged]
+    p = sum(map(int.bit_count, components)) - len(components)
+    if forest:
+        return MultidegreeSet(p, frozenset([tuple([J.bit_count() - 1 for J in masks])]))
+    return MultidegreeSet(p, frozenset(admissible_tuples(profile.d, profile.table, p)))
 
 
 def describe_vertex(config: Configuration, v: TorusPoint) -> ComponentDescriptor:
@@ -110,12 +128,12 @@ def describe_vertex(config: Configuration, v: TorusPoint) -> ComponentDescriptor
 
 def _describe(d: int, points: Sequence[TorusPoint], types: Sequence[tuple[int, ...]]) -> list:
     """One descriptor per point of the given argmin type; each type's profile, M(p), flags and factor dimensions
-    are made once. M(p) is in closed form for a forest type, else from the d_I table. Primacy: x = v_i iff
-    v_i - x is constant, iff J_i = [d], iff d - 1 is a factor dimension."""
+    are made once, p and M(p) by one pass over its masks (``type_multidegrees``), and no kernel is built.
+    Primacy: x = v_i iff v_i - x is constant, iff J_i = [d], iff d - 1 is a factor dimension."""
     records = {}
     for masks, profile in _profiles(d, types).items():
-        mset = forest_multidegrees(masks) or multidegree_set(d, profile.table)
-        dims = tuple(len(J) - 1 for J in profile.argmins)
+        mset = type_multidegrees(profile)
+        dims = tuple([mask.bit_count() - 1 for mask in masks])
         records[masks] = profile, mset.p, mset, mset.p == d - 1, d - 1 in dims, dims
     return [ComponentDescriptor(v, *records[masks]) for v, masks in zip(points, types)]
 
@@ -126,7 +144,7 @@ def classify(config: Configuration) -> list[ComponentDescriptor]:
     Descriptors with ``is_component`` set are exactly the irreducible
     components of the special fiber. The enumerated points are not tested
     for membership again; their argmin sets come with the enumeration, and
-    each distinct set becomes a frozenset and a kernel once.
+    each distinct set becomes a frozenset once.
     """
     hull = lattice_points(config)
     return _describe(config.d, hull.ordered, hull.argmin_masks)
@@ -179,7 +197,7 @@ def is_monomial_type(config: Configuration, descriptors: Sequence[ComponentDescr
     fiber's classification and component counts, computed when not given.
 
     General position holds iff every type graph (factor i joined to the coordinates of J_i) is a forest, iff every
-    descriptor has p = sum(factor_dims): the difference is the cyclomatic number (``forest_multidegrees``). Proof,
+    descriptor has p = sum(factor_dims): the difference is the cyclomatic number (``type_multidegrees``). Proof,
     with g_i = v_i and c_i = min_j(g_ij - x_j) at a hull point x, so that j is in J_i iff g_ij - x_j = c_i:
     - A cycle i_1 j_1 ... i_r j_r at x makes the minor on its rows and columns singular: every permutation s has
       sum g_is(i) >= sum c_i + sum x_j, with equality iff each s(i) is in J_i, as for i_k -> j_k and i_k -> j_(k-1).
@@ -221,16 +239,10 @@ def realize_component(kernels: Sequence[CoordinateSubspace]) -> tuple[Configurat
     d = kernels[0].d
     if any(w.d != d for w in kernels):
         raise ContractError("kernels have mismatched ambient dimensions")
-    common = frozenset(range(1, d + 1))
-    for w in kernels:
-        common &= w.members
+    common = frozenset.intersection(*(w.members for w in kernels))
     if common:
         raise ContractError(f"kernels share the directions {sorted(common)}; intersection must be trivial")
     if dimension_p(d, intersection_dims(tuple(kernels))) != d - 1:
         raise ContractError("kernels cannot support a component of full dimension d-1")
-    points = tuple(
-        normalize(tuple(1 if j + 1 in w.members else 0 for j in range(d))) for w in kernels
-    )
-    config = Configuration(d, points)
-    origin = normalize((0,) * d)
-    return config, origin
+    points = tuple(normalize(tuple(int(j + 1 in w.members) for j in range(d))) for w in kernels)
+    return Configuration(d, points), normalize((0,) * d)

@@ -98,11 +98,14 @@ def lattice_points(config: Configuration) -> HullLatticeSet:
     at any j in T_i. With u_i = Lam_i + g_ik, the child (y, t) keeps T_i if t < u_i, adds k
     if t = u_i and becomes {k} if t > u_i. hi is the u_i at which the T_i, taken by
     decreasing u_i, first cover every j < k. At length d, T_i is where x_j - g_ij is largest,
-    i.e. the argmin set of v_i - x. Equal mask tuples are stored once. Cost O(n log n) per
-    prefix and O(n) per point.
+    i.e. the argmin set of v_i - x. Equal mask tuples are stored once. The generators are sorted
+    by u_i once per prefix; t steps up from lo and one list of child masks changes only at the
+    breakpoints, to T_i | {k} as t reaches u_i and to {k} once t passes it. Cost O(n log n) per
+    prefix and O(n) per point, the copy of the list into the point's tuple.
     """
     gens = [p.coords for p in config.points]
-    level, level_masks = [(0,)], [(1,) * len(gens)]
+    n = len(gens)
+    level, level_masks = [(0,)], [(1,) * n]
     distinct: dict[tuple[int, ...], tuple[int, ...]] = {}
     for k in range(1, config.d):
         bit, full = 1 << k, (1 << k) - 1
@@ -111,13 +114,22 @@ def lattice_points(config: Configuration) -> HullLatticeSet:
         for y, masks in zip(parents, parent_masks):
             tops = [mask.bit_length() - 1 for mask in masks]
             ups = [y[j] - g[j] + g[k] for j, g in zip(tops, gens)]
+            order = sorted(range(n), key=ups.__getitem__)
             covered = 0
-            for hi, mask in sorted(zip(ups, masks), reverse=True):
-                covered |= mask
+            for i in reversed(order):
+                covered |= masks[i]
                 if covered == full:
+                    hi = ups[i]
                     break
-            for t in range(min(ups), hi + 1):
-                child = tuple(m if t < u else m | bit if t == u else bit for m, u in zip(masks, ups))
+            cur, reached, passed = list(masks), 0, 0
+            for t in range(ups[order[0]], hi + 1):
+                while reached < n and ups[order[reached]] == t:
+                    cur[order[reached]] = masks[order[reached]] | bit
+                    reached += 1
+                while ups[order[passed]] < t:
+                    cur[order[passed]] = bit
+                    passed += 1
+                child = tuple(cur)
                 level.append(y + (t,))
                 level_masks.append(distinct.setdefault(child, child))
     return HullLatticeSet(config, tuple(map(TorusPoint, level)), tuple(level_masks))

@@ -224,11 +224,12 @@ def render_edges(edges: Iterable[tuple], template: Callable[[tuple[int, ...], tu
 
 
 def dot_lines(d: int, vertices: Iterable[TorusPoint], edges: Iterable[tuple]) -> Iterator[str]:
-    """The DOT lines of a graph, one at a time; edge labels show the two diagonal supports."""
+    """The DOT lines of a graph, one at a time; edge labels show the two diagonal supports, ``-`` for None."""
     name = '"' + ",".join(["%d"] * d) + '"'
 
-    def edge(*diagonals: tuple[int, ...]) -> str:
-        label = " / ".join("{" + ",".join(str(j + 1) for j, a in enumerate(diag) if a) + "}" for diag in diagonals)
+    def edge(*diagonals: tuple[int, ...] | None) -> str:
+        label = " / ".join("-" if g is None else "{%s}" % ",".join(str(j + 1) for j, a in enumerate(g) if a)
+                           for g in diagonals)
         return f'  {name} -- {name} [label="{label}"];'
 
     yield "graph hull {"
@@ -238,6 +239,7 @@ def dot_lines(d: int, vertices: Iterable[TorusPoint], edges: Iterable[tuple]) ->
 
 
 def graph_to_dot(graph: LinkedGraph) -> str:
-    """DOT rendering; edge labels show the two diagonal supports."""
-    edges = ((u, v, graph.diagonal(u, v), graph.diagonal(v, u)) for u, v in graph.edges)
+    """DOT rendering; edge labels show the two diagonal supports, ``-`` for a direction the graph does not hold."""
+    maps = graph.edge_maps
+    edges = ((u, v, maps.get((u, v)), maps.get((v, u))) for u, v in graph.edges)
     return "\n".join(dot_lines(graph.d, graph.vertices, edges))

@@ -5,15 +5,15 @@ P(k^d) --> P(k^d/W_1) x ... x P(k^d/W_n), the image's dimension p, its
 multidegree tuples and its multigraded Hilbert function are determined by
 the table d_I = dim of the intersection of the W_i over I. The dimension
 is the count p = d - d_[n] - (number of overlap clusters of the factors),
-and the Hilbert function is a sum over the down-closure of M(p). When the
-type graph of the factors is a forest, M(p) is one tuple read off the
-argmin sets with no table. Everything here is exact integer arithmetic.
+and the Hilbert function is a sum over the down-closure of M(p).
+Everything here is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from math import comb
 from typing import Iterable, Sequence
 
@@ -36,12 +36,6 @@ class CoordinateSubspace:
     @property
     def dim(self) -> int:
         return len(self.members)
-
-    def bitmask(self) -> int:
-        mask = 0
-        for j in self.members:
-            mask |= 1 << (j - 1)
-        return mask
 
 
 def subspace(d: int, members: Iterable[int] = ()) -> CoordinateSubspace:
@@ -80,7 +74,7 @@ class MultidegreeSet:
 
     def __post_init__(self) -> None:
         for t in self.tuples:
-            if sum(t) != self.p or any(v < 0 for v in t):
+            if sum(t) != self.p or min(t, default=0) < 0:
                 raise ContractError(f"tuple {t} is not a nonnegative vector of total {self.p}")
 
     def sorted_tuples(self) -> list[tuple[int, ...]]:
@@ -117,46 +111,52 @@ def intersection_dims(kernels: Sequence[CoordinateSubspace]) -> DIndexTable:
     d = kernels[0].d
     if any(w.d != d for w in kernels):
         raise ContractError("subspaces have mismatched ambient dimensions")
-    n = len(kernels)
-    bits = [w.bitmask() for w in kernels]
-    # inter[mask] = intersection of the member sets over the bits of mask, built by peeling the low bit
-    inter = [(1 << d) - 1] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
-        inter[mask] = inter[mask & (mask - 1)] & bits[low]
-    return DIndexTable(d, n, tuple(members.bit_count() for members in inter))
+    return _kernel_table(d, [sum(1 << (j - 1) for j in w.members) for w in kernels])
 
 
-def _tuples_with_sum(caps: Sequence[int], total: int) -> Iterable[tuple[int, ...]]:
-    """All nonnegative tuples below the given caps with the given sum."""
-    n = len(caps)
+def _kernel_table(d: int, bits: Sequence[int]) -> DIndexTable:
+    """The d_I table of the kernels with member bitmasks ``bits`` (bit j - 1 for e_j). inter[mask] is the
+    intersection of the member sets over the bits of mask; each factor doubles the list."""
+    inter = [(1 << d) - 1]
+    for members in bits:
+        inter += [common & members for common in inter]
+    return DIndexTable(d, len(bits), tuple(map(int.bit_count, inter)))
 
-    def rec(i: int, remaining: int, prefix: tuple[int, ...]):
-        if i == n - 1:
-            if 0 <= remaining <= caps[i]:
-                yield prefix + (remaining,)
-            return
-        for v in range(min(caps[i], remaining) + 1):
-            yield from rec(i + 1, remaining - v, prefix + (v,))
 
-    if n:
-        yield from rec(0, total, ())
+def _tuples_with_sum(caps: Sequence[int], total: int) -> list[tuple[int, ...]]:
+    """All nonnegative tuples below the given caps with the given sum, in lexicographic order, built one entry
+    at a time. An entry leaves at most what the later caps can take, and the last entry is what remains."""
+    *head, last = caps
+    level = [((), total)]
+    for cap, later in zip(head, list(accumulate(reversed(caps[1:])))[::-1]):
+        level = [(t + (v,), rem - v) for t, rem in level for v in range(max(0, rem - later), min(cap, rem) + 1)]
+    return [t + (rem,) for t, rem in level if rem <= last]
 
 
 def admissible_tuples(d: int, table: DIndexTable, h: int) -> set[tuple[int, ...]]:
-    """The set M(h): tuples m >= 0 with sum h and d - sum_{i in I} m_i > d_I for all I."""
+    """The set M(h): tuples m >= 0 with sum h and d - sum_{i in I} m_i > d_I for all I.
+
+    The singleton constraints are the candidates' caps m_i <= d - 1 - d_i. Every other I is a step (I, I less
+    its lowest factor, that factor, d - 1 - d_I) in increasing mask order, so the sum over I less its lowest
+    factor is known when I is reached; a candidate stops at its first sum over the limit.
+    """
     if h < 0:
         raise ContractError(f"total degree must be nonnegative, got {h}")
-    n = table.n
-    caps = [d - 1 - table.by_mask[1 << i] for i in range(n)]
+    n, by_mask = table.n, table.by_mask
+    caps = [d - 1 - by_mask[1 << i] for i in range(n)]
+    steps = [
+        (mask, mask & (mask - 1), (mask & -mask).bit_length() - 1, d - 1 - by_mask[mask])
+        for mask in range(1, 1 << n) if mask & (mask - 1)
+    ]
+    singles = [1 << i for i in range(n)]
+    sums = [0] * (1 << n)
     found = set()
     for m in _tuples_with_sum(caps, h):
-        # sums[mask] = sum of m_i over the bits of mask, built by peeling the low bit
-        sums = [0] * (1 << n)
-        for mask in range(1, 1 << n):
-            low = (mask & -mask).bit_length() - 1
-            sums[mask] = sums[mask & (mask - 1)] + m[low]
-            if d - sums[mask] <= table.by_mask[mask]:
+        for single, v in zip(singles, m):
+            sums[single] = v
+        for mask, rest, low, limit in steps:
+            total = sums[mask] = sums[rest] + m[low]
+            if total > limit:
                 break
         else:
             found.add(m)
@@ -192,32 +192,6 @@ def multidegree_set(d: int, table: DIndexTable) -> MultidegreeSet:
     """M(p) at the maximal nonempty level p."""
     p = dimension_p(d, table)
     return MultidegreeSet(p, frozenset(admissible_tuples(d, table, p)))
-
-
-def forest_multidegrees(masks: Sequence[int]) -> MultidegreeSet | None:
-    """M(p) = {t}, t_i = |J_i| - 1, if the type graph of the argmin sets is a forest; None if it has a cycle.
-
-    ``masks[i - 1]`` holds the nonempty J_i (bit j - 1 for coordinate j); the type graph joins factor i to
-    the coordinates of J_i, and factor i closes a cycle iff J_i meets a component of factors 1..i-1 in two
-    or more coordinates. Proof on a forest: the singleton constraints give m_i <= t_i in every M(h). The
-    overlap clusters are the type graph's k components on [n] and U = union J_i, so its cyclomatic number
-    sum |J_i| - n - |U| + k is sum t_i - p (``dimension_p``), 0 exactly on a forest. M(p) is nonempty by
-    ``dimension_p``'s spanning-tree argument, and the only tuple under the caps t with sum t_i is t.
-    """
-    components: list[int] = []
-    for J in masks:
-        merged, apart = J, []
-        for C in components:
-            meet = C & J
-            if not meet:
-                apart.append(C)
-            elif meet & (meet - 1) == 0:
-                merged |= C
-            else:
-                return None
-        components = [*apart, merged]
-    caps = tuple(J.bit_count() - 1 for J in masks)
-    return MultidegreeSet(sum(caps), frozenset([caps]))
 
 
 def hilbert_function(mset: MultidegreeSet, u: Sequence[int]) -> int:

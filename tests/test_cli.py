@@ -290,16 +290,16 @@ class TestVerify:
         assert sum(failures.values()) == 0
 
     def test_seeded_closed_form_defect_fails_the_check(self, capsys, triple_doc, monkeypatch):
-        real = fiber.forest_multidegrees
+        real = fiber.type_multidegrees
 
-        def off_by_one(masks):
-            mset = real(masks)
-            if mset is None:
-                return None
+        def off_by_one(profile):
+            mset = real(profile)
+            if mset.p != sum(mask.bit_count() - 1 for mask in profile.masks):  # a cycle: the subset scan
+                return mset
             ((first, *rest),) = mset.tuples
             return MultidegreeSet(mset.p + 1, frozenset([(first + 1, *rest)]))
 
-        monkeypatch.setattr(fiber, "forest_multidegrees", off_by_one)
+        monkeypatch.setattr(fiber, "type_multidegrees", off_by_one)
         code, out, _ = run(capsys, ["verify", triple_doc])
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
         scan = checks.pop("multidegrees_vs_subset_scan")

@@ -5,9 +5,9 @@ membership again, a CLI classification report enumerates the hull once and reads
 argmin types without evaluating a minor, ``graph`` and ``graph --dot`` stream their edges from the hull walk
 and build no edge maps, a CLI ``classify`` counts components once, and ``verify`` classifies once.
 ``classify`` and ``locate_by_multidegree`` read the argmin sets the enumeration carries, and ``classify``
-builds each distinct argmin set's kernel once and one reduction profile and one M(p) per argmin type, shared
-by the type's descriptors; on a generic configuration it scans no subsets and builds a type's d_I table only
-when a descriptor reads it, once per type. ``classify``, ``graph`` and ``hull`` never build the hull's point
+builds each distinct argmin set's frozenset once, no kernel, and one reduction profile and one M(p) per argmin
+type, shared by the type's descriptors; on a generic configuration it scans no subsets and builds a type's d_I
+table only when a descriptor reads it, once per type. ``classify``, ``graph`` and ``hull`` never build the hull's point
 set. ``reduction_profile``, ``describe_vertex`` and ``skeleton_signature`` compute a point's argmin masks
 once and make no separate membership test, and a ``MultidegreeSet`` builds its down-closure once. The counts
 come from wrapping the functions at every ``mustafin`` module attribute that holds them. ``main`` builds its
@@ -148,10 +148,11 @@ def test_classify_builds_each_argmin_set_and_each_type_once(monkeypatch):
 
     monkeypatch.setattr(multidegree.CoordinateSubspace, "__post_init__", counted)
     profiles = record_calls(monkeypatch, fiber.ReductionProfile)
-    closed_forms = record_calls(monkeypatch, multidegree.forest_multidegrees)
+    merge_passes = record_calls(monkeypatch, fiber.type_multidegrees)
     descriptors = fiber.classify(CONFIG)
-    assert len(kernels) == len(sets) < len(points) * CONFIG.n
-    assert len(profiles) == len(closed_forms) == len(types) < len(points)
+    assert kernels == []
+    assert len({id(J) for desc in descriptors for J in desc.profile.argmins}) == len(sets) < len(points) * CONFIG.n
+    assert len(profiles) == len(merge_passes) == len(types) < len(points)
     first_of_type = {}
     for desc in descriptors:
         first = first_of_type.setdefault(desc.profile.argmins, desc)
@@ -159,7 +160,7 @@ def test_classify_builds_each_argmin_set_and_each_type_once(monkeypatch):
 
 
 def test_generic_classify_scans_no_subsets_and_reads_each_table_once_per_type(monkeypatch):
-    tables = record_calls(monkeypatch, multidegree.intersection_dims)
+    tables = record_calls(monkeypatch, multidegree._kernel_table)
     scans = record_calls(monkeypatch, multidegree.admissible_tuples)
     descriptors = fiber.classify(GENERIC)
     assert tables == [] and scans == []

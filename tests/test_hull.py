@@ -19,6 +19,29 @@ from mustafin.oracles import all_box_points, brute_force_hull, skeleton_scan
 
 from strategies import compositions, configurations
 
+
+@st.composite
+def tied_configurations(draw):
+    """Configurations in which generators share prefixes, so that several share a breakpoint of the walk.
+
+    The second generator repeats the first two coordinates of the first; the walk's first level then has two
+    generators with one breakpoint, and longer shared prefixes tie deeper levels.
+    """
+    d = draw(st.integers(min_value=3, max_value=5))
+    n = draw(st.integers(min_value=2, max_value=5))
+    free = st.integers(min_value=-2, max_value=2)
+    rows = [(0, *draw(st.lists(free, min_size=d - 1, max_size=d - 1)))]
+    for _ in range(n - 1):
+        source = draw(st.sampled_from(rows))
+        k = draw(st.integers(min_value=2, max_value=d - 1))
+        row = (*source[:k], *draw(st.lists(free, min_size=d - k, max_size=d - k)))
+        if row == rows[0] and len(rows) == 1:
+            row = (*row[:-1], row[-1] + 1)
+        if row not in rows:
+            rows.append(row)
+    return configuration(d, rows)
+
+
 SIX_HULL_POINTS = {
     (0, -1, -2), (0, -1, -3), (0, -1, -4), (0, -2, -4), (0, -2, -5), (0, -3, -6),
 }
@@ -95,6 +118,14 @@ class TestLatticePoints:
     def test_carried_masks_are_the_argmin_sets(self, cfg):
         hull_set = lattice_points(cfg)
         assert len(hull_set.argmin_masks) == len(hull_set)
+        for x, masks in zip(hull_set, hull_set.argmin_masks):
+            assert masks == _argmin_masks(cfg, x), x
+        assert list(hull_set) == sorted(brute_force_hull(cfg))
+
+    @given(tied_configurations())
+    @settings(max_examples=60, deadline=None)
+    def test_shared_breakpoints_keep_the_masks_and_the_points(self, cfg):
+        hull_set = lattice_points(cfg)
         for x, masks in zip(hull_set, hull_set.argmin_masks):
             assert masks == _argmin_masks(cfg, x), x
         assert list(hull_set) == sorted(brute_force_hull(cfg))

@@ -353,3 +353,9 @@ class TestDot:
         assert graph_to_dot(graph).splitlines()[-3:] == [
             '  "0,0" -- "0,1" [label="{1} / {2}"];', '  "0,1" -- "0,2" [label="{1} / {1,2}"];', "}"
         ]
+
+    def test_an_edge_held_in_one_direction_shows_the_other_as_a_dash(self):
+        u, v = normalize((0, 0)), normalize((0, 1))
+        graph = LinkedGraph(2, (u, v), {(v, u): (0, 1)})
+        assert graph.edges == [(u, v)]
+        assert graph_to_dot(graph).splitlines()[-2:] == ['  "0,0" -- "0,1" [label="- / {2}"];', "}"]

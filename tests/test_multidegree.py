@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from random import Random
 
@@ -18,8 +18,9 @@ from mustafin import (
     subspace,
 )
 from mustafin.errors import ContractError, UndefinedMapError
-from mustafin.fiber import _describe
-from mustafin.multidegree import forest_multidegrees
+from mustafin import fiber
+from mustafin.fiber import _describe, _profiles, type_multidegrees
+from mustafin.multidegree import _tuples_with_sum
 from mustafin.oracles import hilbert_by_inclusion_exclusion
 from mustafin.sampling import random_general_position_configuration
 
@@ -100,6 +101,21 @@ class TestAdmissibleTuples:
                 now_empty = not admissible_tuples(d, table, h)
                 assert not (empty_seen and not now_empty), "emptiness must persist"
                 empty_seen = empty_seen or now_empty
+
+    @given(st.integers(min_value=2, max_value=5), st.integers(min_value=1, max_value=4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_product_scan(self, d, n, data):
+        sets = data.draw(st.lists(st.frozensets(st.integers(min_value=1, max_value=d)), min_size=n, max_size=n))
+        h = data.draw(st.integers(min_value=0, max_value=n * (d - 1) + 1))
+        table = table_for(d, sets)
+        caps = [d - 1 - table.by_mask[1 << i] for i in range(n)]
+        below = [m for m in product(range(h + 1), repeat=n) if sum(m) == h and all(map(int.__le__, m, caps))]
+        assert _tuples_with_sum(caps, h) == below
+        scan = {
+            m for m in product(range(h + 1), repeat=n) if sum(m) == h
+            and all(d - sum(m[i] for i in range(n) if mask >> i & 1) > table.by_mask[mask] for mask in range(1, 1 << n))
+        }
+        assert admissible_tuples(d, table, h) == scan
 
 
 class TestDimensionP:
@@ -185,6 +201,22 @@ def argmin_mask_tuples(draw):
     return d, draw(st.lists(st.integers(min_value=1, max_value=(1 << d) - 1), min_size=n, max_size=n))
 
 
+@st.composite
+def covering_mask_tuples(draw):
+    """Argmin mask tuples whose union is every coordinate, as at a hull point; cyclic types included."""
+    d = draw(st.integers(min_value=2, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=8))
+    masks = draw(st.lists(st.integers(min_value=1, max_value=(1 << d) - 1), min_size=n, max_size=n))
+    for j in range(d):
+        if not any(mask >> j & 1 for mask in masks):
+            masks[draw(st.integers(min_value=0, max_value=n - 1))] |= 1 << j
+    return d, masks
+
+
+def profile_of(d, masks):
+    return _profiles(d, [tuple(masks)])[tuple(masks)]
+
+
 def kernels_of(d, masks):
     return [subspace(d, [j for j in range(1, d + 1) if not mask >> (j - 1) & 1]) for mask in masks]
 
@@ -233,7 +265,11 @@ class TestForestTypes:
         caps = sum(bin(mask).count("1") - 1 for mask in masks)
         acyclic = type_graph_is_acyclic(d, masks)
         assert caps >= p and (caps == p) == acyclic
-        assert (forest_multidegrees(masks) is not None) == acyclic
+        scans = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fiber, "admissible_tuples", lambda *args: scans.append(args) or admissible_tuples(*args))
+            type_multidegrees(profile_of(d, masks))
+        assert (scans == []) == acyclic
 
     def test_every_type_in_general_position_is_a_forest(self):
         rng = Random(5)
@@ -244,8 +280,22 @@ class TestForestTypes:
             for masks in set(lattice_points(config).argmin_masks):
                 types += 1
                 assert type_graph_is_acyclic(d, masks), (config, masks)
-                assert forest_multidegrees(masks) is not None
+                profile = profile_of(d, masks)
+                assert type_multidegrees(profile).tuples == {tuple(mask.bit_count() - 1 for mask in masks)}
+                assert "table" not in vars(profile)
         assert types > 1000
+
+    @given(covering_mask_tuples())
+    @example((3, [0b011, 0b011, 0b100]))  # J_1 = J_2 = {1, 2}: a 4-cycle
+    @example((4, [0b0011, 0b0110, 0b0101, 0b1000]))  # a 6-cycle through three factors, {4} apart: two clusters
+    @example((6, [0b000011, 0b001100, 0b110000]))  # three disjoint clusters, p = 3
+    @settings(max_examples=200, deadline=None)
+    def test_one_pass_equals_dimension_p_and_the_subset_scan(self, case):
+        d, masks = case
+        table = intersection_dims(kernels_of(d, masks))
+        mset = type_multidegrees(profile_of(d, masks))
+        scan = multidegree_set(d, table)
+        assert (mset.p, mset.tuples) == (dimension_p(d, table), scan.tuples)
 
 
 @st.composite
