@@ -374,6 +374,24 @@ MUTANTS = [
         "if total >= limit:",
         "tests/test_multidegree.py::TestAdmissibleTuples::test_equals_the_product_scan",
     ),
+    (
+        "src/mustafin/multidegree.py",
+        "if lo >= 0 else 0",
+        "if lo >= 0 else 1",
+        "tests/test_multidegree.py::TestMonomialOracle::test_describe_matches_the_monomial_count",
+    ),
+    (
+        "src/mustafin/multidegree.py",
+        "for t in S if t[0] >= hi]",
+        "for t in S if t[0] > hi]",
+        "tests/test_multidegree.py::TestMonomialOracle::test_describe_matches_the_monomial_count",
+    ),
+    (
+        "src/mustafin/multidegree.py",
+        " or len(t) != n:",
+        ":",
+        "tests/test_multidegree.py::TestHilbertFunction::test_tuples_of_different_lengths_are_rejected",
+    ),
 ]
 
 

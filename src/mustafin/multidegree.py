@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from math import comb
+from operator import index
 from typing import Iterable, Sequence
 
 from .errors import ContractError, UndefinedMapError
@@ -73,9 +74,10 @@ class MultidegreeSet:
     tuples: frozenset[tuple[int, ...]]
 
     def __post_init__(self) -> None:
+        n = len(min(self.tuples, default=()))
         for t in self.tuples:
-            if sum(t) != self.p or min(t, default=0) < 0:
-                raise ContractError(f"tuple {t} is not a nonnegative vector of total {self.p}")
+            if sum(t) != self.p or min(t, default=0) < 0 or len(t) != n:
+                raise ContractError(f"tuple {t} is not a nonnegative {n}-vector of total {self.p}")
 
     def sorted_tuples(self) -> list[tuple[int, ...]]:
         return sorted(self.tuples)
@@ -203,14 +205,12 @@ def hilbert_function(mset: MultidegreeSet, u: Sequence[int]) -> int:
     inclusion-exclusion over the boxes below the tuples. It is summed over the layers
     of ``_down_closure``: an entry's range lo < k <= hi gives
     binom(u + hi, hi) - binom(u + lo, lo), the second term 0 at lo = -1.
-    Exact big-integer arithmetic.
+    Exact big-integer arithmetic; u's entries go through ``operator.index``, so a float raises.
     """
     layers = mset._down_closure
-    u = tuple(map(int, u))
-    if len(u) != len(layers):
-        raise ContractError(f"expected {len(layers)} grading variables, got {len(u)}")
-    if min(u, default=0) < 0:
-        raise ContractError(f"grading variables must be nonnegative: {u}")
+    u = tuple(map(index, u))
+    if len(u) != len(layers) or min(u, default=0) < 0:
+        raise ContractError(f"expected {len(layers)} nonnegative grading variables, got {u}")
     values = [1]
     for v, layer in zip(reversed(u), reversed(layers)):
         below, values = values, []

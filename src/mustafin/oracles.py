@@ -1,9 +1,10 @@
 """Brute-force reference computations used to cross-check the fast paths.
 
 These deliberately avoid the covering test on argmin masks, the memoised minor
-expansion, the neighbour lookups and the hull-point signature machinery,
-so that each check in the test suite and in ``verify`` compares two
-independent routes.
+expansion, the neighbour lookups, the hull-point signature machinery and the
+multidegrees M(p): the Hilbert function is a count of monomials of the image's
+coordinate ring, read off the argmin sets. So each check in the test suite and
+in ``verify`` compares two independent routes.
 
 The report trees at the end check the CLI's renderers: they build one dict per hull
 point or edge, and ``json.dumps(tree, indent=2, sort_keys=True)`` plus a newline is
@@ -16,15 +17,14 @@ argmin types and its edges streamed from the hull walk's integer codes.
 
 from __future__ import annotations
 
-from itertools import permutations, product
-from math import comb, prod
-from typing import Sequence
+from itertools import combinations_with_replacement, permutations, product
+from operator import add
+from typing import Iterable, Sequence
 
 from .apartment import DiagonalLatticeClass, class_to_point, intersection_class, is_adjacent, point_to_class
 from .fiber import classify, component_counts, multidegree_partition
 from .hull import lattice_points
 from .linked import step_diagonal
-from .multidegree import MultidegreeSet
 from .tropical import Configuration, TorusPoint, is_general_position, normalize, tropical_combination
 
 
@@ -133,32 +133,18 @@ def all_box_points(config: Configuration) -> list[TorusPoint]:
     ]
 
 
-def hilbert_by_inclusion_exclusion(mset: MultidegreeSet, u: Sequence[int]) -> int:
-    """Multigraded Hilbert function at u by inclusion-exclusion over subsets of M.
+def hilbert_by_monomials(d: int, argmins: Sequence[Iterable[int]], u: Sequence[int]) -> int:
+    """Multigraded Hilbert function at u of the image of x -> (x_J)_J over the argmin sets J_1..J_n covering [d].
 
-    Sum over the nonempty subsets S of the multidegree tuples of
-    (-1)^(|S|-1) * prod_i binom(u_i + l_i, l_i), where l_i is the smallest
-    i-th entry over S: 2^|M| terms.
+    The image's coordinate ring is the toric ring k[t_i x_j : j in J_i], so H(u) is the number of distinct
+    exponent vectors a_1 + ... + a_n with each a_i >= 0 supported on J_i and |a_i| = u_i: the lattice points of
+    the Minkowski sum of the dilated simplices u_i Delta_{J_i}. Reads no d_I table, no p and no M(p).
     """
-    tuples = mset.sorted_tuples()
-    n = len(u)
-    total = 0
-
-    def rec(idx: int, mins: tuple[int, ...] | None, size: int) -> None:
-        nonlocal total
-        if idx == len(tuples):
-            if size:
-                assert mins is not None
-                sign = 1 if size % 2 else -1
-                total += sign * prod(comb(u[i] + mins[i], mins[i]) for i in range(n))
-            return
-        rec(idx + 1, mins, size)
-        t = tuples[idx]
-        merged = t if mins is None else tuple(min(a, b) for a, b in zip(mins, t))
-        rec(idx + 1, merged, size + 1)
-
-    rec(0, None, 0)
-    return total
+    sums = {(0,) * d}
+    for J, k in zip(argmins, u):
+        parts = [tuple(map(c.count, range(1, d + 1))) for c in combinations_with_replacement(sorted(J), k)]
+        sums = {tuple(map(add, a, b)) for a in sums for b in parts}
+    return len(sums)
 
 
 def classification_tree(config: Configuration, echo: dict) -> dict:

@@ -158,12 +158,15 @@ class TestHilbert:
         assert error == {"code": "domain", "message": "(0, 2, 5) is not in the hull of the configuration"}
 
     def test_large_multidegree_set(self, capsys, tmp_path):
-        # |M(p)| = 69 at the origin; inclusion-exclusion over M(p) restricted to supp(u) gives 75
+        # |M(p)| = 69 at the origin; the monomial count over its argmin sets gives 75 without reading M(p)
         path = tmp_path / "ten.json"
         path.write_text(json.dumps(TEN))
         u = "1,0,2,1,0,0,1,0,0,3"
         code, out, _ = run(capsys, ["hilbert", str(path), "--vertex", "0,0,0,0", "--u", u])
         assert (code, out) == (0, "75\n")
+        config, origin = tropical.configuration(4, TEN["points"]), tropical.normalize((0, 0, 0, 0))
+        argmins = fiber.reduction_profile(config, origin).argmins
+        assert oracles.hilbert_by_monomials(4, argmins, tuple(map(int, u.split(",")))) == 75
 
     def test_unparsable_vertex(self, capsys, pair_doc):
         code, _, err = run(capsys, ["hilbert", pair_doc, "--vertex", "0,x,1", "--u", "0,0"])

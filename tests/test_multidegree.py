@@ -1,10 +1,10 @@
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 from random import Random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
 from mustafin import (
     MultidegreeSet,
@@ -21,7 +21,7 @@ from mustafin.errors import ContractError, UndefinedMapError
 from mustafin import fiber
 from mustafin.fiber import _describe, _profiles, type_multidegrees
 from mustafin.multidegree import _tuples_with_sum
-from mustafin.oracles import hilbert_by_inclusion_exclusion
+from mustafin.oracles import hilbert_by_monomials
 from mustafin.sampling import random_general_position_configuration
 
 from strategies import compositions
@@ -202,10 +202,10 @@ def argmin_mask_tuples(draw):
 
 
 @st.composite
-def covering_mask_tuples(draw):
+def covering_mask_tuples(draw, max_d=6, max_n=8):
     """Argmin mask tuples whose union is every coordinate, as at a hull point; cyclic types included."""
-    d = draw(st.integers(min_value=2, max_value=6))
-    n = draw(st.integers(min_value=1, max_value=8))
+    d = draw(st.integers(min_value=2, max_value=max_d))
+    n = draw(st.integers(min_value=1, max_value=max_n))
     masks = draw(st.lists(st.integers(min_value=1, max_value=(1 << d) - 1), min_size=n, max_size=n))
     for j in range(d):
         if not any(mask >> j & 1 for mask in masks):
@@ -310,9 +310,13 @@ def multidegree_sets_and_gradings(draw):
 class TestHilbertFunction:
     @given(multidegree_sets_and_gradings())
     @settings(max_examples=200, deadline=None)
-    def test_matches_inclusion_exclusion_oracle(self, case):
+    def test_matches_the_down_closure_sum(self, case):
+        # The definition: the sum of prod_i c(u_i, k_i) over every k below some tuple, c(u, 0) = 1 and
+        # c(u, k) = binom(u + k - 1, k); the sets are arbitrary, not only those of a hull point.
         mset, u = case
-        assert hilbert_function(mset, u) == hilbert_by_inclusion_exclusion(mset, u)
+        below = {k for t in mset.tuples for k in product(*(range(top + 1) for top in t))}
+        c = [[comb(v + k - 1, k) if k else 1 for k in range(mset.p + 1)] for v in u]
+        assert hilbert_function(mset, u) == sum(prod(c[i][k] for i, k in enumerate(ks)) for ks in below)
 
     def test_single_factor_projective_space(self):
         for d in (2, 3, 4):
@@ -372,6 +376,67 @@ class TestHilbertFunction:
             hilbert_function(mset, (0,))
         with pytest.raises(ContractError):
             hilbert_function(mset, (-1, 0))
+
+    def test_tuples_of_different_lengths_are_rejected(self):
+        with pytest.raises(ContractError):
+            MultidegreeSet(1, frozenset({(1,), (0, 1)}))
+        with pytest.raises(ContractError):
+            MultidegreeSet(2, frozenset({(2,), (1, 1), (0, 0, 2)}))
+
+    def test_non_integer_grading_raises_instead_of_truncating(self):
+        mset = MultidegreeSet(1, frozenset({(1, 0)}))
+        assert hilbert_function(mset, (1, 0)) == 2
+        with pytest.raises(TypeError):
+            hilbert_function(mset, (1.7, 0))
+        with pytest.raises(TypeError):
+            hilbert_function(mset, (1, 0.0))
+
+
+def monomial_mismatches(d, masks, gradings):
+    """The gradings u at which the Hilbert function of ``_describe``'s M(p) at the type ``masks`` differs from the
+    count of monomials of the image's coordinate ring, which reads the argmin sets alone."""
+    (desc,) = _describe(d, [normalize((0,) * d)], [tuple(masks)])
+    argmins = [[j + 1 for j in range(d) if mask >> j & 1] for mask in masks]
+    return [u for u in gradings if hilbert_function(desc.multidegrees, u) != hilbert_by_monomials(d, argmins, u)]
+
+
+class TestMonomialOracle:
+    """M(p) through ``hilbert_function`` against the monomial count, which never reads the d_I table, p or M(p).
+    With c(1, k) = 1, H(1, ..., 1) is the size of the down-closure of M(p), so a dropped or added tuple shows there."""
+
+    @given(covering_mask_tuples(max_d=5, max_n=4))
+    @example((3, [0b011, 0b011, 0b100]))  # J_1 = J_2 = {1, 2}: a 4-cycle, |M(p)| = 2
+    @example((4, [0b0011, 0b0110, 0b0101, 0b1000]))  # a 6-cycle through three factors, {4} apart
+    @example((4, [0b1111]))  # one primary factor
+    @settings(max_examples=150, deadline=None)
+    def test_describe_matches_the_monomial_count(self, case):
+        d, masks = case
+        assert monomial_mismatches(d, masks, list(product(range(3), repeat=len(masks)))) == []
+
+    @pytest.mark.parametrize("defect", ["dropped tuple", "raised closed form"])
+    @given(case=covering_mask_tuples(max_d=5, max_n=4))
+    @settings(max_examples=100, deadline=None)
+    def test_seeded_defects_fail_at_all_ones(self, defect, case):
+        d, masks = case
+        original, seeded = fiber.type_multidegrees, []
+
+        def defective(profile):
+            mset = original(profile)
+            caps = tuple(mask.bit_count() - 1 for mask in profile.masks)
+            if defect == "dropped tuple" and len(mset.tuples) > 1:
+                seeded.append(profile)
+                return MultidegreeSet(mset.p, mset.tuples - {min(mset.tuples)})
+            if defect == "raised closed form" and mset.tuples == {caps}:
+                seeded.append(profile)
+                return MultidegreeSet(mset.p + 1, frozenset({(caps[0] + 1, *caps[1:])}))
+            return mset
+
+        ones = (1,) * len(masks)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fiber, "type_multidegrees", defective)
+            mismatches = monomial_mismatches(d, masks, [ones])
+        assume(seeded)
+        assert mismatches == [ones]
 
 
 def _grid(n, top):
