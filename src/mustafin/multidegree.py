@@ -74,7 +74,7 @@ class MultidegreeSet:
     tuples: frozenset[tuple[int, ...]]
 
     def __post_init__(self) -> None:
-        n = len(min(self.tuples, default=()))
+        n = len(next(iter(self.tuples), ()))
         for t in self.tuples:
             if sum(t) != self.p or min(t, default=0) < 0 or len(t) != n:
                 raise ContractError(f"tuple {t} is not a nonnegative {n}-vector of total {self.p}")
