@@ -117,14 +117,14 @@ MUTANTS = [
     ),
     (
         "src/mustafin/multidegree.py",
-        "if total > limit:",
-        "if total > limit + 1:",
+        "limits = [0] + [d - 1 - v for v in table.by_mask[1:]]",
+        "limits = [0] + [d - v for v in table.by_mask[1:]]",
         "tests/test_multidegree.py::TestLevelScan::test_matches_exhaustive_levels",
     ),
     (
         "src/mustafin/multidegree.py",
-        "for mask in range(1, 1 << n) if mask & (mask - 1)",
-        "for mask in range(1, (1 << n) - 1) if mask & (mask - 1)",
+        "all(map(le, sums, limits))",
+        "all(map(le, sums[:-1], limits))",
         "tests/test_multidegree.py::TestAdmissibleTuples::test_every_output_satisfies_every_inequality",
     ),
     (
@@ -370,9 +370,27 @@ MUTANTS = [
     ),
     (
         "src/mustafin/multidegree.py",
-        "if total > limit:",
-        "if total >= limit:",
+        "all(map(le, sums, limits))",
+        "all(map(int.__lt__, sums, limits))",
         "tests/test_multidegree.py::TestAdmissibleTuples::test_equals_the_product_scan",
+    ),
+    (
+        "src/mustafin/multidegree.py",
+        "sums += [s + v for s in sums] if v else sums",
+        "sums += [s for s in sums] if v else sums",
+        "tests/test_multidegree.py::TestAdmissibleTuples::test_equals_the_product_scan",
+    ),
+    (
+        "src/mustafin/multidegree.py",
+        "[s + v for s in sums] if v else sums",
+        "[s + v for s in sums] if v > 1 else sums",
+        "tests/test_multidegree.py::TestAdmissibleTuples::test_equals_the_product_scan",
+    ),
+    (
+        "src/mustafin/tropical.py",
+        "coords = tuple(map(index, raw))",
+        "coords = tuple(map(int, raw))",
+        "tests/test_tropical.py::TestNormalize::test_rejects_floats_instead_of_truncating",
     ),
     (
         "src/mustafin/multidegree.py",

@@ -9,6 +9,7 @@ through this dictionary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Sequence
 
 from .errors import ContractError, DimensionError
@@ -30,7 +31,7 @@ class DiagonalLatticeClass:
 
     @classmethod
     def from_exponents(cls, exponents: Sequence[int]) -> "DiagonalLatticeClass":
-        exps = tuple(int(e) for e in exponents)
+        exps = tuple(map(index, exponents))
         if not exps:
             raise DimensionError("empty exponent vector")
         base = min(exps)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from operator import or_, sub
+from operator import index, or_, sub
 from typing import Iterator, Sequence
 
 from .errors import ContractError, DimensionError, DomainError
@@ -147,7 +147,7 @@ def locate_by_multidegree(config: Configuration, m: Sequence[int]) -> set[TorusP
     tropical general position the result is a single point whose signature
     equals ``m`` exactly.
     """
-    m = tuple(int(v) for v in m)
+    m = tuple(map(index, m))
     if len(m) != config.n:
         raise ContractError(f"expected {config.n} entries, got {len(m)}")
     if any(v < 0 for v in m):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from math import comb
-from operator import index
+from operator import index, le
 from typing import Iterable, Sequence
 
 from .errors import ContractError, UndefinedMapError
@@ -138,29 +138,19 @@ def _tuples_with_sum(caps: Sequence[int], total: int) -> list[tuple[int, ...]]:
 def admissible_tuples(d: int, table: DIndexTable, h: int) -> set[tuple[int, ...]]:
     """The set M(h): tuples m >= 0 with sum h and d - sum_{i in I} m_i > d_I for all I.
 
-    The singleton constraints are the candidates' caps m_i <= d - 1 - d_i. Every other I is a step (I, I less
-    its lowest factor, that factor, d - 1 - d_I) in increasing mask order, so the sum over I less its lowest
-    factor is known when I is reached; a candidate stops at its first sum over the limit.
+    The limit of I is d - 1 - d_I, that of the empty set 0; the singleton limits are the candidates' caps. A
+    candidate's sums over all subsets are built by doubling: entry m_i adds bit i to every mask so far, and a
+    zero entry repeats the list. So sums[mask] lines up with limits[mask]; no sum may exceed its limit.
     """
     if h < 0:
         raise ContractError(f"total degree must be nonnegative, got {h}")
-    n, by_mask = table.n, table.by_mask
-    caps = [d - 1 - by_mask[1 << i] for i in range(n)]
-    steps = [
-        (mask, mask & (mask - 1), (mask & -mask).bit_length() - 1, d - 1 - by_mask[mask])
-        for mask in range(1, 1 << n) if mask & (mask - 1)
-    ]
-    singles = [1 << i for i in range(n)]
-    sums = [0] * (1 << n)
+    limits = [0] + [d - 1 - v for v in table.by_mask[1:]]
     found = set()
-    for m in _tuples_with_sum(caps, h):
-        for single, v in zip(singles, m):
-            sums[single] = v
-        for mask, rest, low, limit in steps:
-            total = sums[mask] = sums[rest] + m[low]
-            if total > limit:
-                break
-        else:
+    for m in _tuples_with_sum([limits[1 << i] for i in range(table.n)], h):
+        sums = [0]
+        for v in m:
+            sums += [s + v for s in sums] if v else sums
+        if all(map(le, sums, limits)):
             found.add(m)
     return found
 

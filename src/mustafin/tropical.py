@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import index
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ContractError, DegenerateSegmentError, DimensionError
@@ -60,10 +61,10 @@ class Configuration:
 def normalize(raw: Sequence[int]) -> TorusPoint:
     """Canonical representative of ``raw`` modulo the all-ones direction.
 
-    Subtracts ``raw[0]`` from every coordinate; idempotent and invariant
-    under adding a constant vector.
+    Subtracts ``raw[0]`` from every coordinate; idempotent and invariant under adding a constant vector.
+    Coordinates go through ``operator.index``, so a float raises instead of being truncated.
     """
-    coords = tuple(int(c) for c in raw)
+    coords = tuple(map(index, raw))
     if len(coords) < 2:
         raise DimensionError(f"ambient dimension must be >= 2, got {len(coords)}")
     base = coords[0]

@@ -39,6 +39,10 @@ class TestDictionary:
             DiagonalLatticeClass((1, 2, 3))
         assert DiagonalLatticeClass.from_exponents((1, 2, 3)).exponents == (0, 1, 2)
 
+    def test_from_exponents_rejects_floats(self):
+        with pytest.raises(TypeError):
+            DiagonalLatticeClass.from_exponents((0.5, 1.5, 2))
+
     @given(torus_points(4))
     def test_round_trip(self, p):
         assert class_to_point(point_to_class(p)) == p

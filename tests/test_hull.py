@@ -166,6 +166,10 @@ class TestLocateByMultidegree:
         with pytest.raises(ContractError):
             locate_by_multidegree(collinear_triple, (3, 0, -1))
 
+    def test_rejects_floats(self, collinear_triple):
+        with pytest.raises(TypeError):
+            locate_by_multidegree(collinear_triple, (1.5, 1.5, 0))
+
     def test_agrees_with_brute_force_scan(self, collinear_triple, degenerate_pair):
         for cfg in (collinear_triple, degenerate_pair):
             for m in compositions(cfg.d - 1, cfg.n):

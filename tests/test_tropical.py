@@ -36,6 +36,10 @@ class TestNormalize:
         with pytest.raises(DimensionError):
             normalize((5,))
 
+    def test_rejects_floats_instead_of_truncating(self):
+        with pytest.raises(TypeError):
+            normalize((0, 1.7, 2.2))
+
     @given(raw_vectors(), st.integers(min_value=-20, max_value=20))
     def test_translation_invariant_and_idempotent(self, raw, c):
         p = normalize(raw)
@@ -74,6 +78,10 @@ class TestConfiguration:
     def test_rejects_empty(self):
         with pytest.raises(ContractError):
             Configuration(3, ())
+
+    def test_rejects_floats_before_the_distinctness_check(self):
+        with pytest.raises(TypeError):
+            configuration(3, [(0, 0.4, 0.6), (0, 0.2, 0.1)])
 
 
 class TestTropicalCombination:
