@@ -410,6 +410,24 @@ MUTANTS = [
         ":",
         "tests/test_multidegree.py::TestHilbertFunction::test_tuples_of_different_lengths_are_rejected",
     ),
+    (
+        "src/mustafin/linked.py",
+        ".diagonals())",
+        ".diagonals())[::-1]",
+        "tests/test_linked.py::TestSimpleRootMaps",
+    ),
+    (
+        "src/mustafin/tropical.py",
+        "if not isinstance(p, TorusPoint):",
+        "if False:",
+        "tests/test_tropical.py::TestConfiguration::test_rejects_points_that_are_not_torus_points",
+    ),
+    (
+        "src/mustafin/tropical.py",
+        "if len(tuple(map(index, p))) != self.d:",
+        "if len(p) != self.d:",
+        "tests/test_tropical.py::TestConfiguration::test_rejects_torus_points_with_non_integer_coordinates",
+    ),
 ]
 
 

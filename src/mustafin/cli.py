@@ -294,7 +294,7 @@ def cmd_verify(args) -> int:
         checks.append({"name": "multidegree_partition_total", "cases": 1, "failures": 1})
 
     root_failures = sum(
-        tuple(linked._root_maps(config, desc.vertex)) != desc.profile.diagonals() for desc in descriptors
+        tuple(oracles.root_maps_by_walk(config, desc.vertex)) != desc.profile.diagonals() for desc in descriptors
     )
     checks.append(
         {"name": "root_maps_vs_reduction_profile", "cases": len(descriptors), "failures": root_failures}

@@ -1,14 +1,13 @@
 """Rank-one linked-Grassmannian combinatorics over a hull of lattice classes.
 
-Vertices are the hull lattice points, edges the building-adjacent pairs.
-Each directed edge carries the 0/1 diagonal of its special-fiber map: for
-u -> v with difference shifted to a zero-one vector w, the diagonal is
-supported on the zero set of w (the inclusion direction), and the opposite
-direction gets the complement. Composing diagonals along paths either
-reproduces the minimal-path map or vanishes identically. The minimal path
-from x to y is the closed form min(c + x, y), c an integer between the
-smallest and largest entry of y - x (`segment_lattice_path`); its
-independent route is `oracles.brute_force_hull` of the pair {x, y}.
+Vertices are the hull lattice points, edges the building-adjacent pairs. Each directed edge carries the 0/1
+diagonal of its special-fiber map: for u -> v with difference shifted to a zero-one vector w, the diagonal is
+supported on the zero set of w (the inclusion direction), and the opposite direction gets the complement.
+Composing diagonals along paths either reproduces the minimal-path map or vanishes identically. The minimal path
+from x to y is the closed form min(c + x, y), c an integer between the smallest and largest entry of y - x
+(`segment_lattice_path`); its independent route is `oracles.brute_force_hull` of the pair {x, y}. The composed
+diagonals from a hull point toward the generators are read off its reduction profile (`simple_root_maps`);
+`oracles.root_maps_by_walk` composes them along the paths.
 """
 
 from __future__ import annotations
@@ -20,9 +19,9 @@ from math import prod
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .apartment import is_adjacent
-from .errors import ContractError, DimensionError, DomainError
-from .hull import HullLatticeSet, contains, lattice_points
+from .errors import ContractError, DimensionError
+from .fiber import reduction_profile
+from .hull import HullLatticeSet, lattice_points
 from .tropical import Configuration, TorusPoint, _segment_points
 
 
@@ -73,15 +72,6 @@ class LinkedGraph:
         for u, v in sorted(self.edge_maps):
             adjacency.setdefault(u, []).append(v)
         return adjacency
-
-
-def step_diagonal(u: TorusPoint, v: TorusPoint) -> tuple[int, ...]:
-    """Diagonal of the edge map u -> v: 1 where the shifted difference is 0."""
-    if not is_adjacent(u, v):
-        raise ContractError(f"{u.coords} and {v.coords} are not adjacent")
-    diff = [b - a for a, b in zip(u.coords, v.coords)]
-    lo = min(diff)
-    return tuple(1 if value == lo else 0 for value in diff)
 
 
 def hull_edges(hull: HullLatticeSet) -> Iterator[tuple[TorusPoint, TorusPoint, tuple[int, ...], tuple[int, ...]]]:
@@ -197,19 +187,13 @@ def segment_lattice_path(x: TorusPoint, y: TorusPoint) -> list[TorusPoint]:
 
 
 def simple_root_maps(config: Configuration, root: TorusPoint) -> list[tuple[int, ...]]:
-    """Composed minimal-path diagonals from ``root`` toward each generator.
+    """Composed minimal-path diagonals from hull point ``root`` toward each generator, by its reduction profile.
 
-    Agreement with the reduction profile at the root is a theorem, not an
-    assumption; the test suite checks it.
+    Along min(c + x, v_i), x = ``root``, the step c -> c + 1 raises the coordinates with (v_i - x)_j > c and its
+    diagonal is 1 on the rest: exactly the coordinates where v_i - x is smallest never rise, so the composed
+    diagonal is 1 on J_i. DomainError off the hull; ``oracles.root_maps_by_walk`` composes the step diagonals.
     """
-    if not contains(config, root):
-        raise DomainError(f"{root.coords} is not in the hull of the configuration")
-    return _root_maps(config, root)
-
-
-def _root_maps(config: Configuration, root: TorusPoint) -> list[tuple[int, ...]]:
-    paths = (segment_lattice_path(root, generator) for generator in config.points)
-    return [_compose(config.d, (step_diagonal(u, v) for u, v in zip(p, p[1:]))) for p in paths]
+    return list(reduction_profile(config, root).diagonals())
 
 
 def render_edges(edges: Iterable[tuple], template: Callable[[tuple[int, ...], tuple[int, ...]], str]) -> Iterator[str]:

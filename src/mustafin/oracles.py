@@ -1,10 +1,10 @@
 """Brute-force reference computations used to cross-check the fast paths.
 
-These deliberately avoid the covering test on argmin masks, the memoised minor
-expansion, the neighbour lookups, the hull-point signature machinery and the
-multidegrees M(p): the Hilbert function is a count of monomials of the image's
-coordinate ring, read off the argmin sets. So each check in the test suite and
-in ``verify`` compares two independent routes.
+These deliberately avoid the covering test on argmin masks, the memoised minor expansion,
+the neighbour lookups, the hull-point signature machinery, the reduction profiles and the
+multidegrees M(p): root maps compose step diagonals along segment paths, and the Hilbert
+function counts the monomials of the image's coordinate ring over the argmin sets. So each
+check in the test suite and in ``verify`` compares two independent routes.
 
 The report trees at the end check the CLI's renderers: they build one dict per hull
 point or edge, and ``json.dumps(tree, indent=2, sort_keys=True)`` plus a newline is
@@ -22,9 +22,10 @@ from operator import add
 from typing import Iterable, Sequence
 
 from .apartment import DiagonalLatticeClass, class_to_point, intersection_class, is_adjacent, point_to_class
+from .errors import ContractError
 from .fiber import classify, component_counts, multidegree_partition
 from .hull import lattice_points
-from .linked import step_diagonal
+from .linked import _compose, segment_lattice_path
 from .tropical import Configuration, TorusPoint, is_general_position, normalize, tropical_combination
 
 
@@ -72,6 +73,21 @@ def assignment_min_count(matrix: Sequence[Sequence[int]]) -> tuple[int, int]:
             count += 1
     assert best is not None
     return best, count
+
+
+def step_diagonal(u: TorusPoint, v: TorusPoint) -> tuple[int, ...]:
+    """Diagonal of the edge map u -> v: 1 where the shifted difference is 0."""
+    if not is_adjacent(u, v):
+        raise ContractError(f"{u.coords} and {v.coords} are not adjacent")
+    diff = [b - a for a, b in zip(u.coords, v.coords)]
+    lo = min(diff)
+    return tuple(1 if value == lo else 0 for value in diff)
+
+
+def root_maps_by_walk(config: Configuration, root: TorusPoint) -> list[tuple[int, ...]]:
+    """Composed step diagonals along ``segment_lattice_path`` from ``root`` toward each generator."""
+    paths = (segment_lattice_path(root, generator) for generator in config.points)
+    return [_compose(config.d, (step_diagonal(u, v) for u, v in zip(p, p[1:]))) for p in paths]
 
 
 def edge_maps_by_pair_scan(config: Configuration) -> dict[tuple[TorusPoint, TorusPoint], tuple[int, ...]]:

@@ -48,7 +48,9 @@ class Configuration:
         if not self.points:
             raise ContractError("a configuration needs at least one point")
         for p in self.points:
-            if len(p) != self.d:
+            if not isinstance(p, TorusPoint):
+                raise ContractError(f"point {p!r} is not a TorusPoint; build it with configuration() or normalize()")
+            if len(tuple(map(index, p))) != self.d:  # index raises TypeError on a float, as in normalize()
                 raise DimensionError(f"point {p.coords} does not have length d={self.d}")
         if len(set(self.points)) != len(self.points):
             raise ContractError("configuration points must be pairwise distinct")

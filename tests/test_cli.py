@@ -281,13 +281,13 @@ class TestVerify:
         assert sum(failures.values()) == 1
 
     def test_seeded_root_map_defect_fails_the_check(self, capsys, triple_doc, monkeypatch):
-        real = linked.step_diagonal
+        real = oracles.step_diagonal
 
         def flipped(u, v):
             diagonal = real(u, v)
             return (1 - diagonal[0],) + diagonal[1:]
 
-        monkeypatch.setattr(linked, "step_diagonal", flipped)
+        monkeypatch.setattr(oracles, "step_diagonal", flipped)
         failures = failed_checks(capsys, triple_doc)
         assert failures.pop("root_maps_vs_reduction_profile") > 0
         assert sum(failures.values()) == 0

@@ -9,7 +9,8 @@ builds each distinct argmin set's frozenset once, no kernel, and one reduction p
 type, shared by the type's descriptors; on a generic configuration it scans no subsets and builds a type's d_I
 table only when a descriptor reads it, once per type. ``classify``, ``graph`` and ``hull`` never build the hull's point
 set. ``reduction_profile``, ``describe_vertex`` and ``skeleton_signature`` compute a point's argmin masks
-once and make no separate membership test, and a ``MultidegreeSet`` builds its down-closure once. The counts
+once and make no separate membership test, ``simple_root_maps`` reads its maps off the reduction profile and
+walks no segment path, and a ``MultidegreeSet`` builds its down-closure once. The counts
 come from wrapping the functions at every ``mustafin`` module attribute that holds them. ``main`` builds its
 parser once per process, and a call's options do not leak into the next call.
 """
@@ -116,6 +117,14 @@ def test_single_points_compute_their_argmin_masks_once(monkeypatch):
         single_point(CONFIG, v)
         assert argmin_scans == [(CONFIG, v)], single_point
     assert membership_tests == []
+
+
+def test_root_maps_are_read_off_the_profile_without_a_walk(monkeypatch):
+    walks = record_calls(monkeypatch, linked.segment_lattice_path)
+    steps = record_calls(monkeypatch, oracles.step_diagonal)
+    for v in hull.lattice_points(CONFIG):
+        assert tuple(linked.simple_root_maps(CONFIG, v)) == fiber.reduction_profile(CONFIG, v).diagonals()
+    assert walks == [] and steps == []
 
 
 def test_hilbert_builds_the_down_closure_once_per_set(monkeypatch):

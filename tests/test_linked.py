@@ -24,8 +24,7 @@ from mustafin import (
 )
 from mustafin.apartment import is_adjacent
 from mustafin.errors import ContractError, DimensionError, DomainError
-from mustafin.linked import step_diagonal
-from mustafin.oracles import brute_force_hull, edge_maps_by_pair_scan
+from mustafin.oracles import brute_force_hull, edge_maps_by_pair_scan, root_maps_by_walk, step_diagonal
 
 from strategies import configurations
 
@@ -279,8 +278,8 @@ class TestSimpleRootMaps:
     @settings(max_examples=25, deadline=None)
     def test_agrees_with_reduction_profile_everywhere(self, cfg):
         for root in lattice_points(cfg):
-            profile = reduction_profile(cfg, root)
-            assert tuple(simple_root_maps(cfg, root)) == profile.diagonals()
+            walked = tuple(root_maps_by_walk(cfg, root))
+            assert walked == reduction_profile(cfg, root).diagonals() == tuple(simple_root_maps(cfg, root))
 
 
 class TestSegmentLatticePath:

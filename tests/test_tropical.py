@@ -83,6 +83,14 @@ class TestConfiguration:
         with pytest.raises(TypeError):
             configuration(3, [(0, 0.4, 0.6), (0, 0.2, 0.1)])
 
+    def test_rejects_points_that_are_not_torus_points(self):
+        with pytest.raises(ContractError, match=r"configuration\(\) or normalize\(\)"):
+            Configuration(3, ((1, 2, 3), (0, 1, 1)))
+
+    def test_rejects_torus_points_with_non_integer_coordinates(self):
+        with pytest.raises(TypeError):
+            Configuration(3, (TorusPoint((0, 1.5, 2)), TorusPoint((0, 0, 0))))
+
 
 class TestTropicalCombination:
     def test_huge_coefficient_drops_other_terms(self, collinear_triple):
